@@ -3,6 +3,7 @@
 from .data import (
     DeviceShard,
     Example,
+    PackedShards,
     Population,
     gen_gaussian_mixture,
     gen_hetero_logistic,
@@ -18,6 +19,7 @@ from .federation import (
     EvalSnapshot,
     FederatedRun,
     FederationConfig,
+    PopulationObjective,
     PowerLawSchedule,
     RoundLog,
     am_meta,

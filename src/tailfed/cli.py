@@ -223,9 +223,12 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     )
     # Surface federation field errors now rather than at run time.
     try:
-        _federation_config(cfg, theta=cfg.thetas[0], seed=cfg.seeds[0])
+        fed = _federation_config(cfg, theta=cfg.thetas[0], seed=cfg.seeds[0])
     except ValueError as exc:
         raise ConfigError(f"config.federation: {exc}") from exc
+    # A run logs and tabulates its last round, so it needs at least one.
+    if fed.num_rounds < 1:
+        raise ConfigError(f"config.federation.num_rounds must be >= 1, got {fed.num_rounds!r}")
     return cfg
 
 
@@ -260,13 +263,13 @@ def _final_metrics(
 ) -> dict[str, float]:
     out: dict[str, float] = {}
     table = metrics_mod.table_from_population(
-        train, "train_loss", lambda s: models.device_loss(cfg.loss, params, s)
+        train, "train_loss", models.packed_losses(cfg.loss, params, train.packed)
     )
     for key, val in metrics_mod.summarize(table).items():
         out[f"train_loss_{key}"] = val
     if test is not None and _is_classifier(cfg.loss):
         etable = metrics_mod.table_from_population(
-            test, "test_error", lambda s: models.device_error(cfg.loss, params, s)
+            test, "test_error", models.packed_errors(cfg.loss, params, test.packed)
         )
         for key, val in metrics_mod.summarize(etable).items():
             out[f"test_error_{key}"] = val

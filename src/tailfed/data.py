@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,42 @@ class DeviceShard:
         return [Example(self.features[i], self.labels[i].item()) for i in range(len(self))]
 
 
+@dataclass(frozen=True, eq=False)
+class PackedShards:
+    """Device shards stacked into one feature matrix and one label vector.
+
+    Device k owns rows ``offsets[k] : offsets[k] + sizes[k]``, in shard order,
+    so a per-row result reduces to per-device values with
+    ``np.add.reduceat(rows, offsets)``. Every size is at least 1.
+    """
+
+    features: np.ndarray  # (N, p)
+    labels: np.ndarray  # (N,)
+    offsets: np.ndarray  # (K,) int64
+    sizes: np.ndarray  # (K,) int64
+
+    @classmethod
+    def from_shards(cls, shards: list[DeviceShard]) -> "PackedShards":
+        sizes = np.array([len(s) for s in shards], dtype=np.int64)
+        return cls(
+            features=np.concatenate([s.features for s in shards]),
+            labels=np.concatenate([s.labels for s in shards]),
+            offsets=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+        )
+
+    def __len__(self) -> int:
+        return int(self.sizes.size)
+
+    def select(self, devices) -> "PackedShards":
+        """The packed view of the given devices (indices into this view), in that order."""
+        idx = np.asarray(devices, dtype=np.int64)
+        sizes = self.sizes[idx]
+        offsets = np.cumsum(sizes) - sizes
+        rows = np.repeat(self.offsets[idx] - offsets, sizes) + np.arange(int(sizes.sum()))
+        return PackedShards(self.features[rows], self.labels[rows], offsets, sizes)
+
+
 @dataclass
 class Population:
     shards: list[DeviceShard]
@@ -82,6 +119,15 @@ class Population:
     @property
     def device_ids(self) -> list[str]:
         return [s.device_id for s in self.shards]
+
+    @cached_property
+    def packed(self) -> PackedShards:
+        """Every shard in one packed view, built on first use and kept.
+
+        The view copies the shards' rows, so it does not follow later edits
+        to the shard list or to shard arrays.
+        """
+        return PackedShards.from_shards(self.shards)
 
 
 def _infer_num_classes(shards: list[DeviceShard]) -> int:
@@ -197,7 +243,7 @@ def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Populati
     n_first = int(round(fraction * n))
     if n_first == 0 or n_first == n:
         raise ValueError(f"degenerate split: fraction {fraction} of {n} devices leaves one side empty")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0x5D17)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed) & ((1 << 63) - 1), 0x5D17)))
     order = rng.permutation(n)
     first = sorted(order[:n_first].tolist())
     second = sorted(order[n_first:].tolist())

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import models
-from .data import DeviceShard, Population
+from .data import DeviceShard, PackedShards, Population
 from .models import LossSpec
 from .secure_agg import (
     make_masked_aggregator,
@@ -131,6 +131,18 @@ def lr_schedule(cfg: FederationConfig, t: int) -> float:
     return cfg.lr0 * cfg.lr_decay ** (t // cfg.lr_decay_every)
 
 
+def _local_sgd(
+    cfg: FederationConfig, w: np.ndarray, packed: PackedShards, rngs: list[np.random.Generator], lr: float
+) -> np.ndarray:
+    # Epoch mode: one shuffled pass in mini-batches. Point mode: n_local
+    # single-example steps drawn with replacement. Device k draws from rngs[k].
+    if cfg.local_epoch:
+        orders = [rng.permutation(n) for n, rng in zip(packed.sizes, rngs)]
+        return models.packed_local_sgd(cfg.loss, w, packed, orders, lr, cfg.batch_size)
+    orders = [rng.integers(n, size=cfg.n_local) for n, rng in zip(packed.sizes, rngs)]
+    return models.packed_local_sgd(cfg.loss, w, packed, orders, lr, 1)
+
+
 def local_update(
     shard: DeviceShard,
     w: np.ndarray,
@@ -142,21 +154,9 @@ def local_update(
 
     Epoch mode shuffles the shard once and walks it in mini-batches; point
     mode performs n_local single-example steps sampled with replacement.
+    This is the one-device case of the batched kernel a round trains with.
     """
-    w = np.array(w, dtype=np.float64)
-    n = len(shard)
-    if cfg.local_epoch:
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grad = models.batch_grad(cfg.loss, w, shard.features[idx], shard.labels[idx])
-            w -= lr * grad
-    else:
-        for _ in range(cfg.n_local):
-            i = int(rng.integers(n))
-            grad = models.batch_grad(cfg.loss, w, shard.features[i : i + 1], shard.labels[i : i + 1])
-            w -= lr * grad
-    return w
+    return _local_sgd(cfg, w, PackedShards.from_shards([shard]), [rng], lr)[0]
 
 
 def _round_rng(cfg: FederationConfig, t: int) -> np.random.Generator:
@@ -174,7 +174,7 @@ def _prepare_round(
     pop: Population, cfg: FederationConfig, rng: np.random.Generator
 ) -> tuple[list[int], dict[int, int], int | None]:
     idx = _sample_devices(pop, cfg, rng)
-    local_seeds = {k: int(rng.integers(1 << 62)) for k in idx}
+    local_seeds = dict(zip(idx, rng.integers(1 << 62, size=len(idx)).tolist()))
     mask_seed = int(rng.integers(1 << 62)) if cfg.aggregation == "masked" else None
     return idx, local_seeds, mask_seed
 
@@ -188,9 +188,74 @@ def _aggregate(
     return plain_weighted_sum(contributions)
 
 
-def _sample_objective(losses: list[float], weights: list[float], theta: float) -> float:
-    wv = WeightedValues(np.asarray(losses), np.asarray(weights))
-    return superquantile(wv, theta)
+def _sample_objective(losses: np.ndarray, weights: np.ndarray, theta: float) -> float:
+    return superquantile(WeightedValues(losses, weights), theta)
+
+
+def _round_threshold(
+    losses: np.ndarray,
+    sample_weights: np.ndarray,
+    cfg: FederationConfig,
+    mask_seed: int | None,
+    eta_override: float | None,
+) -> float:
+    if eta_override is not None:
+        return float(eta_override)
+    if cfg.theta == 1.0:
+        return float(losses.min())
+    if cfg.eta_protocol == "secure_mm":
+        agg = make_masked_aggregator(mask_seed) if cfg.aggregation == "masked" else None
+        return secure_quantile_for_round(losses, sample_weights, cfg.theta, aggregator=agg)
+    return weighted_quantile(WeightedValues(losses, sample_weights), cfg.theta)
+
+
+def _round(
+    pop: Population,
+    w: np.ndarray,
+    cfg: FederationConfig,
+    t: int,
+    rng: np.random.Generator | None,
+    tail: bool,
+    eta_override: float | None = None,
+) -> tuple[np.ndarray, RoundLog]:
+    # The one round body. tail=False is plain averaging: no threshold, every
+    # sampled device trains, and the log's objectives are taken at theta = 1.
+    if rng is None:
+        rng = _round_rng(cfg, t)
+    idx, local_seeds, mask_seed = _prepare_round(pop, cfg, rng)
+    sample = pop.packed.select(idx)
+    sample_weights = pop.weights[idx]
+    sample_weights = sample_weights / sample_weights.sum()
+    losses = models.packed_losses(cfg.loss, w, sample)
+
+    if tail:
+        theta = cfg.theta
+        eta = _round_threshold(losses, sample_weights, cfg, mask_seed, eta_override)
+        kept = np.flatnonzero(losses >= eta - FILTER_SLACK)
+        if kept.size == 0:
+            # Degenerate threshold (can only arise from protocol noise): fall
+            # back to the single worst device so the round still makes progress.
+            kept = np.array([int(np.argmax(losses))])
+    else:
+        theta, eta, kept = 1.0, None, np.arange(len(idx))
+    survivors = [idx[i] for i in kept]
+
+    rngs = [np.random.default_rng(local_seeds[k]) for k in survivors]
+    trained = _local_sgd(cfg, w, sample.select(kept), rngs, lr_schedule(cfg, t))
+    w_next = _aggregate([(v, pop.shards[k].weight) for v, k in zip(trained, survivors)], cfg, mask_seed)
+
+    post_losses = models.packed_losses(cfg.loss, w_next, sample)
+    ids = pop.device_ids
+    log = RoundLog(
+        round_index=t,
+        sampled_ids=[ids[k] for k in idx],
+        eta=eta,
+        filtered_ids=[ids[k] for k in survivors],
+        pre_objective=_sample_objective(losses, sample_weights, theta),
+        post_objective=_sample_objective(post_losses, sample_weights, theta),
+        update_norm=float(np.linalg.norm(w_next - w)),
+    )
+    return w_next, log
 
 
 def deltafl_round(
@@ -208,49 +273,7 @@ def deltafl_round(
     or above eta run local updates and are averaged. theta = 1 keeps every
     sampled device, reproducing the uniform-averaging baseline exactly.
     """
-    if rng is None:
-        rng = _round_rng(cfg, t)
-    idx, local_seeds, mask_seed = _prepare_round(pop, cfg, rng)
-    shards = [pop.shards[k] for k in idx]
-    losses = [models.device_loss(cfg.loss, w, s) for s in shards]
-    sample_weights = np.array([s.weight for s in shards])
-    sample_weights = sample_weights / sample_weights.sum()
-
-    if eta_override is not None:
-        eta = float(eta_override)
-    elif cfg.theta == 1.0:
-        eta = float(min(losses))
-    elif cfg.eta_protocol == "secure_mm":
-        agg = make_masked_aggregator(mask_seed) if cfg.aggregation == "masked" else None
-        eta = secure_quantile_for_round(losses, sample_weights, cfg.theta, aggregator=agg)
-    else:
-        eta = weighted_quantile(WeightedValues(np.asarray(losses), sample_weights), cfg.theta)
-
-    survivors = [k for k, loss in zip(idx, losses) if loss >= eta - FILTER_SLACK]
-    if not survivors:
-        # Degenerate threshold (can only arise from protocol noise): fall
-        # back to the single worst device so the round still makes progress.
-        worst = idx[int(np.argmax(losses))]
-        survivors = [worst]
-
-    lr = lr_schedule(cfg, t)
-    contributions = []
-    for k in survivors:
-        local = local_update(pop.shards[k], w, lr, cfg, np.random.default_rng(local_seeds[k]))
-        contributions.append((local, pop.shards[k].weight))
-    w_next = _aggregate(contributions, cfg, mask_seed)
-
-    post_losses = [models.device_loss(cfg.loss, w_next, s) for s in shards]
-    log = RoundLog(
-        round_index=t,
-        sampled_ids=[pop.shards[k].device_id for k in idx],
-        eta=eta,
-        filtered_ids=[pop.shards[k].device_id for k in survivors],
-        pre_objective=_sample_objective(losses, list(sample_weights), cfg.theta),
-        post_objective=_sample_objective(post_losses, list(sample_weights), cfg.theta),
-        update_norm=float(np.linalg.norm(w_next - w)),
-    )
-    return w_next, log
+    return _round(pop, w, cfg, t, rng, tail=True, eta_override=eta_override)
 
 
 def fedavg_round(
@@ -261,32 +284,7 @@ def fedavg_round(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, RoundLog]:
     """One round of uniform-averaging training: no loss reports, no filter."""
-    if rng is None:
-        rng = _round_rng(cfg, t)
-    idx, local_seeds, mask_seed = _prepare_round(pop, cfg, rng)
-    shards = [pop.shards[k] for k in idx]
-    sample_weights = np.array([s.weight for s in shards])
-    sample_weights = sample_weights / sample_weights.sum()
-
-    lr = lr_schedule(cfg, t)
-    contributions = []
-    for k in idx:
-        local = local_update(pop.shards[k], w, lr, cfg, np.random.default_rng(local_seeds[k]))
-        contributions.append((local, pop.shards[k].weight))
-    w_next = _aggregate(contributions, cfg, mask_seed)
-
-    losses = [models.device_loss(cfg.loss, w, s) for s in shards]
-    post_losses = [models.device_loss(cfg.loss, w_next, s) for s in shards]
-    log = RoundLog(
-        round_index=t,
-        sampled_ids=[s.device_id for s in shards],
-        eta=None,
-        filtered_ids=[s.device_id for s in shards],
-        pre_objective=_sample_objective(losses, list(sample_weights), 1.0),
-        post_objective=_sample_objective(post_losses, list(sample_weights), 1.0),
-        update_norm=float(np.linalg.norm(w_next - w)),
-    )
-    return w_next, log
+    return _round(pop, w, cfg, t, rng, tail=False)
 
 
 def run_federated(
@@ -321,13 +319,12 @@ def run_federated(
             frozen_eta = log.eta
         logs.append(log)
         if eval_every > 0 and (t + 1) % eval_every == 0:
+            losses = models.packed_losses(cfg.loss, w, pop.packed)
             snapshots.append(
                 EvalSnapshot(
                     round_index=t,
                     params=w.copy(),
-                    device_losses={
-                        s.device_id: models.device_loss(cfg.loss, w, s) for s in pop.shards
-                    },
+                    device_losses=dict(zip(pop.device_ids, losses.tolist())),
                 )
             )
     return FederatedRun(params=w, rounds=logs, snapshots=snapshots)
@@ -346,31 +343,76 @@ class DeviceObjective:
     weight: float
 
 
-def population_objectives(pop: Population, spec: LossSpec) -> list[DeviceObjective]:
-    return [
-        DeviceObjective(
-            value=lambda w, s=s: models.device_loss(spec, w, s),
-            grad=lambda w, s=s: models.device_grad(spec, w, s),
-            weight=s.weight,
-        )
-        for s in pop.shards
-    ]
+@dataclass(frozen=True, eq=False)
+class PopulationObjective:
+    """Full-batch objectives F_k of every device, evaluated together.
+
+    ``values(w)`` returns every F_k(w) in device order and
+    ``weighted_grad(w, coeff)`` returns sum_k coeff[k] * grad F_k(w), each
+    in one pass over the population. Indexing and iteration give the
+    per-device DeviceObjective view.
+    """
+
+    values: Callable[[np.ndarray], np.ndarray]
+    weighted_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    weights: np.ndarray
+    devices: tuple[DeviceObjective, ...]
+
+    def __len__(self) -> int:
+        return len(self.devices)
+
+    def __getitem__(self, k: int) -> DeviceObjective:
+        return self.devices[k]
+
+    def __iter__(self):
+        return iter(self.devices)
 
 
-def quadratic_objectives(centers, offsets=None, weights=None) -> list[DeviceObjective]:
+def population_objectives(pop: Population, spec: LossSpec) -> PopulationObjective:
+    packed = pop.packed
+    return PopulationObjective(
+        values=lambda w: models.packed_losses(spec, w, packed),
+        weighted_grad=lambda w, coeff: models.packed_weighted_grad(spec, w, packed, coeff),
+        weights=pop.weights,
+        devices=tuple(
+            DeviceObjective(
+                value=lambda w, s=s: models.device_loss(spec, w, s),
+                grad=lambda w, s=s: models.device_grad(spec, w, s),
+                weight=s.weight,
+            )
+            for s in pop.shards
+        ),
+    )
+
+
+def quadratic_objectives(centers, offsets=None, weights=None) -> PopulationObjective:
     """Analytic devices F_k(w) = ||w - c_k||^2 + b_k, handy for exact studies."""
     centers = np.asarray(centers, dtype=np.float64)
     n = centers.shape[0]
     offsets = np.zeros(n) if offsets is None else np.asarray(offsets, dtype=np.float64)
     weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
-    return [
-        DeviceObjective(
-            value=lambda w, c=centers[k], b=offsets[k]: float(np.dot(w - c, w - c)) + float(b),
-            grad=lambda w, c=centers[k]: 2.0 * (w - c),
-            weight=float(weights[k]),
-        )
-        for k in range(n)
-    ]
+
+    def values(w: np.ndarray) -> np.ndarray:
+        diff = np.asarray(w, dtype=np.float64) - centers
+        return np.einsum("kp,kp->k", diff, diff) + offsets
+
+    def weighted_grad(w: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        coeff = np.asarray(coeff, dtype=np.float64)
+        return 2.0 * (coeff.sum() * np.asarray(w, dtype=np.float64) - coeff @ centers)
+
+    return PopulationObjective(
+        values=values,
+        weighted_grad=weighted_grad,
+        weights=weights,
+        devices=tuple(
+            DeviceObjective(
+                value=lambda w, c=centers[k], b=offsets[k]: float(np.dot(w - c, w - c)) + float(b),
+                grad=lambda w, c=centers[k]: 2.0 * (w - c),
+                weight=float(weights[k]),
+            )
+            for k in range(n)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -478,31 +520,20 @@ class AMResult:
         return [it.grad_norm for it in self.iterates]
 
 
-def _objective_state(
-    objectives: Sequence[DeviceObjective], w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    losses = np.array([obj.value(w) for obj in objectives])
-    weights = np.array([obj.weight for obj in objectives])
-    return losses, weights / weights.sum()
+def _objective_state(objectives: PopulationObjective, w: np.ndarray) -> WeightedValues:
+    return WeightedValues(objectives.values(w), objectives.weights / objectives.weights.sum())
 
 
 def _smoothed_grad_at(
-    objectives: Sequence[DeviceObjective],
-    losses: np.ndarray,
-    weights: np.ndarray,
+    objectives: PopulationObjective,
+    wv: WeightedValues,
     w: np.ndarray,
     eta: float,
     theta: float,
     nu: float,
 ) -> tuple[np.ndarray, float]:
-    wv = WeightedValues(losses, weights)
     coeff = smoothed_device_coefficients(wv, theta, nu, eta)
-    grad_w = np.zeros_like(np.asarray(w, dtype=np.float64))
-    for c, obj in zip(coeff, objectives):
-        if c != 0.0:
-            grad_w += c * obj.grad(w)
-    slope = smoothed_objective_slope(wv, theta, nu, eta)
-    return grad_w, slope
+    return objectives.weighted_grad(w, coeff), smoothed_objective_slope(wv, theta, nu, eta)
 
 
 def smoothed_full_gradient(
@@ -514,12 +545,12 @@ def smoothed_full_gradient(
     gradient is the coefficient-weighted sum of device gradients.
     """
     objectives = population_objectives(pop, spec)
-    losses, weights = _objective_state(objectives, w)
-    return _smoothed_grad_at(objectives, losses, weights, np.asarray(w, float), eta, theta, nu)
+    w = np.asarray(w, dtype=np.float64)
+    return _smoothed_grad_at(objectives, _objective_state(objectives, w), w, eta, theta, nu)
 
 
 def am_meta(
-    objectives: Sequence[DeviceObjective],
+    objectives: PopulationObjective,
     theta: float,
     nu: float,
     schedule: Callable[[int], float],
@@ -541,10 +572,9 @@ def am_meta(
     iterates: list[AMIterate] = []
 
     def record(w_cur: np.ndarray) -> float:
-        losses, weights = _objective_state(objectives, w_cur)
-        wv = WeightedValues(losses, weights)
+        wv = _objective_state(objectives, w_cur)
         eta = smoothed_eta_star(wv, theta, nu)
-        grad_w, slope = _smoothed_grad_at(objectives, losses, weights, w_cur, eta, theta, nu)
+        grad_w, slope = _smoothed_grad_at(objectives, wv, w_cur, eta, theta, nu)
         iterates.append(
             AMIterate(
                 params=w_cur.copy(),
@@ -560,11 +590,9 @@ def am_meta(
     eta = record(w)
     for t in range(num_iters):
         def value_grad(w_try: np.ndarray, eta_t=eta) -> tuple[float, np.ndarray]:
-            losses, weights = _objective_state(objectives, w_try)
-            wv = WeightedValues(losses, weights)
-            val = smoothed_objective(wv, theta, nu, eta_t)
-            grad_w, _ = _smoothed_grad_at(objectives, losses, weights, w_try, eta_t, theta, nu)
-            return val, grad_w
+            wv = _objective_state(objectives, w_try)
+            coeff = smoothed_device_coefficients(wv, theta, nu, eta_t)
+            return smoothed_objective(wv, theta, nu, eta_t), objectives.weighted_grad(w_try, coeff)
 
         w = solver.solve(value_grad, w, schedule(t))
         eta = record(w)

@@ -53,14 +53,20 @@ class DeviceMetricTable:
         return WeightedValues(np.asarray(self.values), uniform)
 
 
-def table_from_population(pop, kind: str, value_fn) -> DeviceMetricTable:
-    """Build a table by applying value_fn to every shard of a population."""
+def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
+    """Build a table over every shard of a population.
+
+    values is either one value per device in shard order (as the packed
+    kernels in tailfed.models return them) or a function applied to each shard.
+    """
+    if callable(values):
+        values = [values(s) for s in pop.shards]
     return DeviceMetricTable(
         kind=kind,
         device_ids=[s.device_id for s in pop.shards],
         sizes=[len(s) for s in pop.shards],
         weights=[s.weight for s in pop.shards],
-        values=[float(value_fn(s)) for s in pop.shards],
+        values=list(values),
     )
 
 

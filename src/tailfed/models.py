@@ -7,6 +7,12 @@ ridge term (reg/2)*||w||^2 folded into every loss value:
 * ``binary_logistic``: log(1 + exp(-y <w, x>)) with labels y in {-1, +1}.
 * ``multinomial_logistic``: cross entropy of a C-way linear softmax; the
   parameter vector is the row-major flattening of the (C, p) weight matrix.
+
+The ``batch_*`` and ``device_*`` functions evaluate one batch or one shard
+and are the reference. The ``packed_*`` kernels evaluate every device of a
+packed view (``tailfed.data.PackedShards``) in one vectorized pass: one
+matmul over the stacked rows, then ``np.add.reduceat`` over the device
+segments. They agree with the reference up to summation order.
 """
 
 from __future__ import annotations
@@ -146,3 +152,118 @@ def device_error(spec: LossSpec, w: np.ndarray, shard) -> float:
     preds = predict(spec, w, shard.features)
     truth = np.asarray(shard.labels, dtype=np.int64)
     return float(np.mean(preds != truth))
+
+
+# ---------------------------------------------------------------------------
+# Packed kernels: every device of a PackedShards view in one pass.
+
+
+def _labels_for(spec: LossSpec, labels: np.ndarray) -> np.ndarray:
+    # Class indices for the softmax, real-valued labels otherwise.
+    if spec.kind != "multinomial_logistic":
+        return np.asarray(labels, dtype=np.float64)
+    idx = np.asarray(labels, dtype=np.int64)
+    if np.any(idx < 0) or np.any(idx >= spec.num_classes):
+        raise ValueError("class labels must lie in [0, num_classes)")
+    return idx
+
+
+def _row_grads(spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row-weighted gradient sum_i c_i * grad f(W; x_i, y_i), ridge term excluded.
+
+    Shapes broadcast over leading axes: X is (..., n, p), W is (..., d), and
+    y (converted by _labels_for) and c are (..., n). With X (n, p) this is
+    one parameter vector over n rows; with X (k, b, p) it is k independent
+    batches, each with its own row of W.
+    """
+    def weighted_sum(r: np.ndarray) -> np.ndarray:
+        # sum_i r_i x_i over the row axis: (..., n) -> (..., p)
+        return (r[..., None, :] @ X)[..., 0, :]
+
+    if spec.kind == "squared_distance":
+        # grad ||x - w||^2 = 2 (w - x)
+        return 2.0 * (c.sum(axis=-1)[..., None] * W - weighted_sum(c))
+    if spec.kind == "binary_logistic":
+        margins = y * (X @ W[..., None])[..., 0]
+        # d/dm log(1+exp(-m)) = -sigmoid(-m); margins below -500 give 1 either way
+        return weighted_sum(-c * y / (1.0 + np.exp(np.minimum(margins, 500.0))))
+    C, p = spec.num_classes, X.shape[-1]
+    Wm = W.reshape(W.shape[:-1] + (C, p))
+    probs = np.exp(_log_softmax(X @ np.swapaxes(Wm, -1, -2)))
+    probs -= y[..., None] == np.arange(C)
+    return (np.swapaxes(probs * c[..., None], -1, -2) @ X).reshape(W.shape)
+
+
+def packed_losses(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
+    """Every device's mean loss (ridge term included), in device order."""
+    rows = batch_losses(spec, w, packed.features, packed.labels)
+    return np.add.reduceat(rows, packed.offsets) / packed.sizes
+
+
+def packed_errors(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
+    """Every device's fraction of misclassified examples, in device order."""
+    wrong = predict(spec, w, packed.features) != np.asarray(packed.labels, dtype=np.int64)
+    return np.add.reduceat(wrong.astype(np.int64), packed.offsets) / packed.sizes
+
+
+def packed_weighted_grad(spec: LossSpec, w: np.ndarray, packed, coeff) -> np.ndarray:
+    """sum_k coeff[k] * grad F_k(w), F_k the mean loss of device k, in one pass."""
+    X = packed.features
+    w = _check_params(spec, w, X.shape[1])
+    coeff = np.asarray(coeff, dtype=np.float64)
+    if coeff.shape != packed.sizes.shape:
+        raise ValueError(f"need one coefficient per device ({packed.sizes.size}), got shape {coeff.shape}")
+    row_coeff = np.repeat(coeff / packed.sizes, packed.sizes)
+    grad = _row_grads(spec, w, X, _labels_for(spec, packed.labels), row_coeff)
+    return grad + float(coeff.sum()) * spec.l2_reg * w
+
+
+def packed_local_sgd(
+    spec: LossSpec, w: np.ndarray, packed, orders, lr: float, batch_size: int
+) -> np.ndarray:
+    """Mini-batch SGD on every device of a packed view at once, all starting from w.
+
+    Device k walks ``orders[k]`` (row indices local to the device) in
+    consecutive batches of batch_size and takes one step of size lr on each
+    batch's mean loss; a partial last batch averages over its rows. Devices
+    run in lockstep: batches are padded to batch_size and step counts to the
+    longest device's, and padded rows and steps are masked, so a device stops
+    once its own rows are spent. Returns the (K, d) final parameters, one row
+    per device in device order.
+    """
+    X = packed.features
+    w = _check_params(spec, w, X.shape[1])
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if len(orders) != len(packed):
+        raise ValueError(f"need one visiting order per device ({len(packed)}), got {len(orders)}")
+    lengths = np.array([len(o) for o in orders], dtype=np.int64)
+    steps = -(-lengths // batch_size)
+    # Longest walks first, so the devices still walking at step s are a prefix.
+    by_steps = np.argsort(-steps, kind="stable")
+    lengths = lengths[by_steps]
+    k, num_steps = lengths.size, int(steps.max(initial=0))
+    local = np.concatenate(
+        [np.zeros(0, np.int64)] + [np.asarray(orders[i], dtype=np.int64) for i in by_steps]
+    )
+    if np.any(local < 0) or np.any(local >= np.repeat(packed.sizes[by_steps], lengths)):
+        raise ValueError("visiting orders must index rows of their own device")
+    # Slot (device, step, b) of the padded visit table holds a global row
+    # index and that row's weight in its batch mean; padding weighs 0.
+    dev = np.repeat(np.arange(k), lengths)
+    within = np.arange(local.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    slot = dev * (num_steps * batch_size) + within
+    rows = np.zeros((k, num_steps, batch_size), dtype=np.int64)
+    rows.reshape(-1)[slot] = packed.offsets[by_steps][dev] + local
+    coeff = np.zeros((k, num_steps, batch_size))
+    coeff.reshape(-1)[slot] = 1.0
+    coeff /= np.maximum(coeff.sum(axis=2, keepdims=True), 1.0)
+    labels = _labels_for(spec, packed.labels)[rows]
+    walking = np.count_nonzero(steps[None, :] > np.arange(num_steps)[:, None], axis=1)
+    W = np.tile(w, (k, 1))
+    for s, a in enumerate(walking):
+        grad = _row_grads(spec, W[:a], X[rows[:a, s]], labels[:a, s], coeff[:a, s])
+        W[:a] -= lr * (grad + spec.l2_reg * W[:a])
+    out = np.empty_like(W)
+    out[by_steps] = W
+    return out

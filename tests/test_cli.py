@@ -265,6 +265,30 @@ def test_split_adds_held_out_error_columns(tmp_path):
     assert not any(k.startswith("test_error_") for k in final2)
 
 
+def test_negative_split_seed_runs(tmp_path):
+    out = tmp_path / "out"
+    cfg = tiny_config(out, thetas=[0.5], split_fraction=0.5, split_seed=-3)
+    cfg["data"]["num_devices"] = 6
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 0
+    assert (out / "summary.json").is_file()
+
+
+def test_zero_rounds_is_a_config_error(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "out")
+    cfg["federation"]["num_rounds"] = 0
+    path = write_config(tmp_path, cfg)
+    for argv in (["validate", "--config", path], ["run", "--config", path]):
+        assert main(argv) == 1
+        assert "config.federation.num_rounds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the --rounds override goes through the same check
+    ok = write_config(tmp_path, tiny_config(tmp_path / "out"), "ok.json")
+    assert main(["run", "--config", ok, "--rounds", "0"]) == 1
+    assert "config.federation.num_rounds" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_two(tmp_path, capsys):
     cfg = tiny_config(tmp_path / "out")
     cfg["data"] = {"device_file": str(tmp_path / "missing.jsonl")}

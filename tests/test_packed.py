@@ -1,0 +1,182 @@
+"""Packed population kernels against the per-shard functions and the naive oracles.
+
+The packed kernels sum in a different order than the per-shard reference,
+so values are compared to 1e-12 relative to the largest entry compared.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tailfed import DeviceShard, FederationConfig, LossSpec, Population, models
+from tailfed.data import PackedShards
+from tailfed.federation import local_update
+
+from oracles import device_error_naive, device_loss_naive
+
+REL = 1e-12
+KINDS = ("squared_distance", "binary_logistic", "multinomial_logistic")
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert float(np.abs(got - want).max(initial=0.0)) <= REL * scale
+
+
+@st.composite
+def populations(draw):
+    """A loss spec, a population with ragged shards (1-example shards included), and parameters."""
+    kind = draw(st.sampled_from(KINDS))
+    num_classes = draw(st.integers(2, 4)) if kind == "multinomial_logistic" else 2
+    spec = LossSpec(kind, l2_reg=draw(st.sampled_from([0.0, 1e-3, 0.5])), num_classes=num_classes)
+    p = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shards = []
+    for k, n in enumerate(sizes):
+        X = rng.normal(size=(n, p)) * 2.0
+        if kind == "binary_logistic":
+            y = rng.choice([-1, 1], size=n)
+        elif kind == "multinomial_logistic":
+            y = rng.integers(0, num_classes, size=n)
+        else:
+            y = np.zeros(n)
+        shards.append(DeviceShard(f"d{k}", X, y, float(n)))
+    w = rng.normal(size=spec.param_dim(p))
+    return spec, Population(shards, num_classes=num_classes), w, rng
+
+
+@SETTINGS
+@given(populations())
+def test_packed_losses_match_device_loss_and_oracle(case):
+    spec, pop, w, _ = case
+    got = models.packed_losses(spec, w, pop.packed)
+    assert_close(got, [models.device_loss(spec, w, s) for s in pop.shards])
+    naive = [
+        device_loss_naive(spec.kind, w, s.features, s.labels, spec.l2_reg, spec.num_classes)
+        for s in pop.shards
+    ]
+    assert_close(got, naive)
+
+
+@SETTINGS
+@given(populations())
+def test_packed_errors_match_device_error_and_oracle(case):
+    spec, pop, w, _ = case
+    if spec.kind == "squared_distance":
+        with pytest.raises(ValueError):
+            models.packed_errors(spec, w, pop.packed)
+        return
+    got = models.packed_errors(spec, w, pop.packed)
+    assert got.tolist() == [models.device_error(spec, w, s) for s in pop.shards]
+    assert got.tolist() == [
+        device_error_naive(spec.kind, w, s.features, s.labels, spec.num_classes) for s in pop.shards
+    ]
+
+
+@SETTINGS
+@given(populations())
+def test_packed_weighted_grad_matches_sum_of_device_grads(case):
+    spec, pop, w, rng = case
+    coeff = rng.uniform(0.0, 2.0, size=len(pop)) * (rng.random(len(pop)) < 0.7)
+    want = sum(c * models.device_grad(spec, w, s) for c, s in zip(coeff, pop.shards))
+    assert_close(models.packed_weighted_grad(spec, w, pop.packed, coeff), want)
+
+
+def sgd_reference(spec, w, shard, order, lr, batch_size):
+    """One device's local SGD as a plain loop over its mini-batches."""
+    w = np.array(w, dtype=np.float64)
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        w = w - lr * models.batch_grad(spec, w, shard.features[idx], shard.labels[idx])
+    return w
+
+
+@SETTINGS
+@given(populations(), st.integers(1, 15), st.booleans(), st.floats(0.01, 0.5))
+def test_packed_local_sgd_matches_per_device_loop(case, batch_size, epoch, lr):
+    spec, pop, w, rng = case
+    if epoch:
+        # batch_size runs past the shard size too: one full-batch step
+        orders = [rng.permutation(len(s)) for s in pop.shards]
+    else:
+        # point mode: single-example steps drawn with replacement
+        batch_size = 1
+        orders = [rng.integers(len(s), size=int(rng.integers(1, 6))) for s in pop.shards]
+    got = models.packed_local_sgd(spec, w, pop.packed, orders, lr, batch_size)
+    assert got.shape == (len(pop), w.size)
+    for k, shard in enumerate(pop.shards):
+        assert_close(got[k], sgd_reference(spec, w, shard, orders[k], lr, batch_size))
+
+
+def old_local_update(shard, w, lr, cfg, rng):
+    """The per-device loop local_update ran before rounds trained in one batched call."""
+    w = np.array(w, dtype=np.float64)
+    n = len(shard)
+    if cfg.local_epoch:
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            w -= lr * models.batch_grad(cfg.loss, w, shard.features[idx], shard.labels[idx])
+    else:
+        for _ in range(cfg.n_local):
+            i = int(rng.integers(n))
+            w -= lr * models.batch_grad(cfg.loss, w, shard.features[i : i + 1], shard.labels[i : i + 1])
+    return w
+
+
+@SETTINGS
+@given(populations(), st.integers(1, 15), st.booleans(), st.integers(1, 5), st.integers(0, 2**62))
+def test_local_update_matches_the_old_per_device_loop(case, batch_size, epoch, n_local, seed):
+    spec, pop, w, _ = case
+    cfg = FederationConfig(loss=spec, batch_size=batch_size, local_epoch=epoch, n_local=n_local)
+    for shard in pop.shards:
+        got = local_update(shard, w, 0.3, cfg, np.random.default_rng(seed))
+        assert_close(got, old_local_update(shard, w, 0.3, cfg, np.random.default_rng(seed)))
+
+
+@SETTINGS
+@given(populations())
+def test_select_packs_the_chosen_shards_in_order(case):
+    _, pop, _, rng = case
+    devices = rng.permutation(len(pop))[: int(rng.integers(1, len(pop) + 1))]
+    got = pop.packed.select(devices)
+    want = PackedShards.from_shards([pop.shards[k] for k in devices])
+    for field in ("features", "labels", "offsets", "sizes"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_padded_steps_leave_a_finished_device_alone():
+    # A 1-example device next to a 12-example one, batch size 4: the short
+    # device takes one step, the long one three.
+    spec = LossSpec("binary_logistic", l2_reg=0.1)
+    rng = np.random.default_rng(3)
+    short = DeviceShard("a", rng.normal(size=(1, 2)), np.array([1]))
+    long = DeviceShard("b", rng.normal(size=(12, 2)), rng.choice([-1, 1], size=12))
+    packed = PackedShards.from_shards([short, long])
+    w = np.array([0.3, -0.4])
+    got = models.packed_local_sgd(spec, w, packed, [np.array([0]), np.arange(12)], 0.5, 4)
+    assert np.array_equal(got[0], w - 0.5 * models.batch_grad(spec, w, short.features, short.labels))
+    assert_close(got[1], sgd_reference(spec, w, long, np.arange(12), 0.5, 4))
+
+
+def test_kernels_reject_out_of_range_inputs():
+    spec = LossSpec("multinomial_logistic", num_classes=3)
+    packed = PackedShards.from_shards([DeviceShard("a", np.ones((2, 2)), np.array([0, 3]))])
+    w = np.zeros(6)
+    with pytest.raises(ValueError, match="class labels"):
+        models.packed_losses(spec, w, packed)
+    with pytest.raises(ValueError, match="class labels"):
+        models.packed_weighted_grad(spec, w, packed, [1.0])
+    with pytest.raises(ValueError, match="class labels"):
+        models.packed_local_sgd(spec, w, packed, [np.arange(2)], 0.1, 1)
+    ok = LossSpec("binary_logistic")
+    good = PackedShards.from_shards([DeviceShard("a", np.ones((2, 2)), np.array([1, -1]))])
+    with pytest.raises(ValueError, match="own device"):
+        models.packed_local_sgd(ok, np.zeros(2), good, [np.array([2])], 0.1, 1)
+    with pytest.raises(ValueError, match="one coefficient per device"):
+        models.packed_weighted_grad(ok, np.zeros(2), good, [1.0, 2.0])
