@@ -2,7 +2,6 @@
 
 from .data import (
     DeviceShard,
-    Example,
     PackedShards,
     Population,
     gen_gaussian_mixture,
@@ -10,12 +9,12 @@ from .data import (
     load_devices_jsonl,
     save_devices_jsonl,
     split_devices,
+    stream,
     weights_by_count,
 )
 from .federation import (
     AMResult,
     CertifiedGradientDescent,
-    DeviceObjective,
     EvalSnapshot,
     FederatedRun,
     FederationConfig,
@@ -34,9 +33,7 @@ from .federation import (
 )
 from .metrics import (
     DeviceMetricTable,
-    histogram,
     percentile,
-    scatter_export,
     summarize,
     summary_export,
     table_from_population,
@@ -55,9 +52,6 @@ from .secure_agg import (
     secure_quantile_for_round,
 )
 from .superquantile import (
-    ConformityLevel,
-    MixtureWeights,
-    SmoothingParam,
     WeightedValues,
     conformity,
     in_feasible_set,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from . import metrics as metrics_mod
 from . import models
 from .data import Population, gen_gaussian_mixture, gen_hetero_logistic, load_devices_jsonl, split_devices
 from .federation import (
+    AMResult,
     CertifiedGradientDescent,
     FederationConfig,
     PowerLawSchedule,
@@ -75,7 +76,7 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def normalized(self) -> dict:
-        out = {
+        return {
             "schema_version": self.schema_version,
             "algorithm": self.algorithm,
             "output_dir": self.output_dir,
@@ -85,11 +86,10 @@ class ExperimentConfig:
             "split_fraction": self.split_fraction,
             "split_seed": self.split_seed,
             "data": self.data,
-            "loss": {"kind": self.loss.kind, "l2_reg": self.loss.l2_reg, "num_classes": self.loss.num_classes},
+            "loss": asdict(self.loss),
             "federation": self.federation,
             "am": asdict(self.am),
         }
-        return out
 
 
 def _need(raw: dict, key: str, types, where: str):
@@ -166,23 +166,13 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"config.loss: {exc}") from exc
 
+    _check_loss_reads_labels(data, loss)
+
     federation = raw.get("federation", {})
     if not isinstance(federation, dict):
         raise ConfigError("config.federation must be an object")
-    allowed = {
-        "nu",
-        "devices_per_round",
-        "n_local",
-        "local_epoch",
-        "batch_size",
-        "lr0",
-        "lr_decay",
-        "lr_decay_every",
-        "num_rounds",
-        "eta_period",
-        "aggregation",
-        "eta_protocol",
-    }
+    # theta, seed and loss come from the cell and config.loss, not from here.
+    allowed = {f.name for f in fields(FederationConfig)} - {"theta", "seed", "loss"}
     unknown = set(federation) - allowed
     if unknown:
         raise ConfigError(f"config.federation has unknown fields: {sorted(unknown)}")
@@ -232,6 +222,28 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+def _check_loss_reads_labels(data: dict, loss: LossSpec) -> None:
+    # The generators' labels: hetero_logistic writes -1/+1 for 2 classes and
+    # 0..C-1 for more, gaussian_mixture writes 0. Device files are not read
+    # before a run, so their labels go unchecked here.
+    gen = data.get("generator")
+    if gen is None or loss.kind == "squared_distance":
+        return
+    classes = data["num_classes"] if gen == "hetero_logistic" else 1
+    signed = gen == "hetero_logistic" and classes == 2
+    labels = "-1/+1" if signed else ("0" if classes == 1 else f"0..{classes - 1}")
+    if loss.kind == "binary_logistic" and not signed:
+        raise ConfigError(f"config.loss.kind binary_logistic needs labels -1/+1, but {gen} data has labels {labels}")
+    if loss.kind == "multinomial_logistic" and signed:
+        raise ConfigError(
+            f"config.loss.kind multinomial_logistic needs class labels 0..C-1, but {gen} data has labels {labels}"
+        )
+    if loss.kind == "multinomial_logistic" and classes > loss.num_classes:
+        raise ConfigError(
+            f"config.loss.num_classes {loss.num_classes} cannot read {gen} data with labels {labels}"
+        )
+
+
 def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> FederationConfig:
     return FederationConfig(theta=theta, seed=seed, loss=cfg.loss, **cfg.federation)
 
@@ -239,7 +251,7 @@ def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> Federa
 def _build_population(cfg: ExperimentConfig, seed: int) -> Population:
     data = cfg.data
     if "device_file" in data:
-        return load_devices_jsonl(data["device_file"], num_classes=data.get("num_classes"))
+        return load_devices_jsonl(data["device_file"])
     data_seed = data.get("seed")
     root = int(data_seed) if data_seed is not None else seed
     if data["generator"] == "hetero_logistic":
@@ -254,10 +266,6 @@ def _build_population(cfg: ExperimentConfig, seed: int) -> Population:
     return gen_gaussian_mixture(data["means"], data["n_per_device"], seed=root)
 
 
-def _is_classifier(loss: LossSpec) -> bool:
-    return loss.kind in ("binary_logistic", "multinomial_logistic")
-
-
 def _final_metrics(
     cfg: ExperimentConfig, params: np.ndarray, train: Population, test: Population | None
 ) -> dict[str, float]:
@@ -267,7 +275,7 @@ def _final_metrics(
     )
     for key, val in metrics_mod.summarize(table).items():
         out[f"train_loss_{key}"] = val
-    if test is not None and _is_classifier(cfg.loss):
+    if test is not None and cfg.loss.kind != "squared_distance":
         etable = metrics_mod.table_from_population(
             test, "test_error", models.packed_errors(cfg.loss, params, test.packed)
         )
@@ -284,7 +292,7 @@ def _snapshot_rows(
         row: dict = {"round": snap.round_index}
         row.update(_final_metrics(cfg, snap.params, train, test))
         rows.append(row)
-    final_round = cfg.federation.get("num_rounds", FederationConfig().num_rounds) - 1
+    final_round = len(run.rounds) - 1
     if not rows or rows[-1]["round"] != final_round:
         row = {"round": final_round}
         row.update(_final_metrics(cfg, run.params, train, test))
@@ -299,23 +307,11 @@ def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) ->
     else:
         train, test = pop, None
     cell_dir.mkdir(parents=True, exist_ok=True)
+    fed = _federation_config(cfg, theta=theta, seed=seed)
 
     if cfg.algorithm == "am_meta":
         objectives = population_objectives(train, cfg.loss)
-        solver = CertifiedGradientDescent(
-            strong_convexity=cfg.am.strong_convexity, initial_step=cfg.am.initial_step
-        )
-        schedule = PowerLawSchedule(cfg.am.eps0, cfg.am.exponent)
-        nu = float(cfg.federation.get("nu", FederationConfig().nu))
-        result = am_meta(
-            objectives,
-            theta,
-            nu,
-            schedule,
-            solver,
-            cfg.am.num_iters,
-            models.init_params(cfg.loss, train.feature_dim),
-        )
+        result = _solve_am(objectives, theta, fed.nu, cfg.am, models.init_params(cfg.loss, train.feature_dim))
         with open(cell_dir / "rounds.jsonl", "w", encoding="utf-8") as fh:
             for t, it in enumerate(result.iterates):
                 fh.write(json.dumps({"iter": t, **it.to_dict()}) + "\n")
@@ -328,7 +324,6 @@ def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) ->
         final["grad_norm"] = result.iterates[-1].grad_norm
         return final
 
-    fed = _federation_config(cfg, theta=theta, seed=seed)
     run = run_federated(train, fed, algorithm=cfg.algorithm, eval_every=cfg.eval_every)
     with open(cell_dir / "rounds.jsonl", "w", encoding="utf-8") as fh:
         for log in run.rounds:
@@ -336,6 +331,11 @@ def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) ->
     rows = _snapshot_rows(cfg, run, train, test)
     metrics_mod.summary_export(rows, cell_dir / "metrics.csv")
     return _final_metrics(cfg, run.params, train, test)
+
+
+def _solve_am(objectives, theta: float, nu: float, am: AMSettings, w0: np.ndarray) -> AMResult:
+    solver = CertifiedGradientDescent(strong_convexity=am.strong_convexity, initial_step=am.initial_step)
+    return am_meta(objectives, theta, nu, PowerLawSchedule(am.eps0, am.exponent), solver, am.num_iters, w0)
 
 
 def _label(cfg: ExperimentConfig, theta: float) -> str:
@@ -388,20 +388,6 @@ def triangle_targets(means) -> dict:
     }
 
 
-def _demo_am(objectives, theta: float, am: AMSettings, nu: float) -> np.ndarray:
-    solver = CertifiedGradientDescent(strong_convexity=am.strong_convexity, initial_step=am.initial_step)
-    result = am_meta(
-        objectives,
-        theta,
-        nu,
-        PowerLawSchedule(am.eps0, am.exponent),
-        solver,
-        am.num_iters,
-        np.zeros(2),
-    )
-    return result.params
-
-
 def cmd_gaussian_demo(output_dir: str, means=None, n_per_device: int = 10_000, seed: int = 0) -> int:
     means = DEFAULT_DEMO_MEANS if means is None else means
     targets = triangle_targets(means)
@@ -418,7 +404,7 @@ def cmd_gaussian_demo(output_dir: str, means=None, n_per_device: int = 10_000, s
     report: dict = {"means": pts.tolist(), "targets": targets, "analytic": {}, "sampled": {}}
     for theta, target_key in ((1.0, "centroid"), (2.0 / 3.0, "tail_midpoints")):
         for mode, objectives in (("analytic", analytic), ("sampled", sampled)):
-            w = _demo_am(objectives, theta, am, nu)
+            w = _solve_am(objectives, theta, nu, am, np.zeros(2)).params
             if target_key == "centroid":
                 dist = float(np.linalg.norm(w - np.asarray(targets["centroid"])))
                 entry = {"final": w.tolist(), "target": targets["centroid"], "distance": dist}

@@ -10,18 +10,12 @@ devices exist.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .superquantile import EPS
-
-
-@dataclass(frozen=True)
-class Example:
-    x: np.ndarray
-    y: float | int
 
 
 @dataclass
@@ -43,10 +37,6 @@ class DeviceShard:
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
-
-    @property
-    def examples(self) -> list[Example]:
-        return [Example(self.features[i], self.labels[i].item()) for i in range(len(self))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +78,7 @@ class PackedShards:
 @dataclass
 class Population:
     shards: list[DeviceShard]
-    feature_dim: int = field(default=0)
-    num_classes: int = field(default=2)
+    feature_dim: int = 0
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -130,34 +119,23 @@ class Population:
         return PackedShards.from_shards(self.shards)
 
 
-def _infer_num_classes(shards: list[DeviceShard]) -> int:
-    labels = np.concatenate([np.asarray(s.labels).ravel() for s in shards])
-    if labels.size == 0:
-        return 2
-    ints = labels.astype(np.int64)
-    if not np.all(ints == labels):
-        return 2  # real-valued targets; classification unused
-    vals = set(int(v) for v in ints)
-    if vals <= {-1, 1}:
-        return 2
-    return max(2, max(vals) + 1)
-
-
-def weights_by_count(shards: list[DeviceShard], num_classes: int | None = None) -> Population:
+def weights_by_count(shards: list[DeviceShard]) -> Population:
     """Population whose device weights are proportional to shard sizes."""
     total = sum(len(s) for s in shards)
     for s in shards:
         s.weight = len(s) / total
-    return Population(shards, num_classes=num_classes or _infer_num_classes(shards))
+    return Population(shards)
 
 
-def _device_rng(root_seed: int, device_index: int) -> np.random.Generator:
-    # Entropy components must be nonnegative, hence the stream tag.
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(root_seed) & ((1 << 63) - 1), 0, int(device_index))))
+def stream(seed: int, *tags: int) -> np.random.Generator:
+    """The random stream named by a seed and nonnegative integer tags.
 
-
-def _population_rng(root_seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(root_seed) & ((1 << 63) - 1), 1)))
+    Equal to ``default_rng(SeedSequence(entropy=(seed mod 2**63, *tags)))``:
+    the seed is masked to 63 bits, since entropy must be nonnegative, so any
+    int64 seed works, negative ones included. The tags keep the streams of
+    one seed apart (see the README's Reproducibility section).
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed) & ((1 << 63) - 1), *tags)))
 
 
 def gen_gaussian_mixture(means, n_per_device: int, seed: int) -> Population:
@@ -173,12 +151,12 @@ def gen_gaussian_mixture(means, n_per_device: int, seed: int) -> Population:
         raise ValueError("n_per_device must be >= 1")
     shards = []
     for k in range(means.shape[0]):
-        rng = _device_rng(seed, k)
+        rng = stream(seed, 0, k)
         X = means[k][None, :] + rng.standard_normal((n_per_device, means.shape[1]))
         shards.append(
             DeviceShard(f"dev{k:03d}", X, np.zeros(n_per_device, dtype=np.int64), 1.0 / means.shape[0])
         )
-    return Population(shards, num_classes=2)
+    return Population(shards)
 
 
 def gen_hetero_logistic(
@@ -208,14 +186,14 @@ def gen_hetero_logistic(
         raise ValueError("num_classes must be >= 2")
     if heterogeneity < 0.0:
         raise ValueError("heterogeneity must be nonnegative")
-    root = _population_rng(seed)
+    root = stream(seed, 1)
     if num_classes == 2:
         w_bar = root.standard_normal(feature_dim) * (2.0 / np.sqrt(feature_dim))
     else:
         w_bar = root.standard_normal((num_classes, feature_dim)) * (2.0 / np.sqrt(feature_dim))
     shards = []
     for k in range(num_devices):
-        rng = _device_rng(seed, k)
+        rng = stream(seed, 0, k)
         n = int(rng.integers(lo, hi + 1))
         delta = rng.standard_normal(w_bar.shape)
         center = 0.5 * heterogeneity * rng.standard_normal(feature_dim)
@@ -232,7 +210,7 @@ def gen_hetero_logistic(
             u = rng.random(n)
             y = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).astype(np.int64)
         shards.append(DeviceShard(f"dev{k:03d}", X, y))
-    return weights_by_count(shards, num_classes=num_classes)
+    return weights_by_count(shards)
 
 
 def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Population, Population]:
@@ -243,8 +221,7 @@ def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Populati
     n_first = int(round(fraction * n))
     if n_first == 0 or n_first == n:
         raise ValueError(f"degenerate split: fraction {fraction} of {n} devices leaves one side empty")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed) & ((1 << 63) - 1), 0x5D17)))
-    order = rng.permutation(n)
+    order = stream(seed, 0x5D17).permutation(n)
     first = sorted(order[:n_first].tolist())
     second = sorted(order[n_first:].tolist())
 
@@ -253,7 +230,7 @@ def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Populati
         for i in idx:
             s = pop.shards[i]
             shards.append(DeviceShard(s.device_id, s.features, s.labels, s.weight))
-        return Population(shards, num_classes=pop.num_classes)
+        return Population(shards)
 
     return _side(first), _side(second)
 
@@ -267,7 +244,7 @@ def save_devices_jsonl(pop: Population, path) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_devices_jsonl(path, num_classes: int | None = None) -> Population:
+def load_devices_jsonl(path) -> Population:
     """Read a device file written by save_devices_jsonl.
 
     Device weights are set proportional to shard sizes. Malformed lines
@@ -313,4 +290,4 @@ def load_devices_jsonl(path, num_classes: int | None = None) -> Population:
             shards.append(DeviceShard(dev, X, y))
     if not shards:
         raise ValueError(f"{path}: no devices found")
-    return weights_by_count(shards, num_classes=num_classes)
+    return weights_by_count(shards)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .data import DeviceShard, PackedShards, Population
+from .data import DeviceShard, PackedShards, Population, stream
 from .models import LossSpec
 from .secure_agg import (
     make_masked_aggregator,
@@ -116,7 +116,6 @@ class RoundLog:
 class EvalSnapshot:
     round_index: int
     params: np.ndarray
-    device_losses: dict[str, float]
 
 
 @dataclass
@@ -159,11 +158,6 @@ def local_update(
     return _local_sgd(cfg, w, PackedShards.from_shards([shard]), [rng], lr)[0]
 
 
-def _round_rng(cfg: FederationConfig, t: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=(int(cfg.seed) & ((1 << 63) - 1), 2, int(t)))
-    return np.random.default_rng(seq)
-
-
 def _sample_devices(pop: Population, cfg: FederationConfig, rng: np.random.Generator) -> list[int]:
     # Uniform sampling with replacement; duplicates collapse to one slot.
     draws = rng.integers(0, len(pop), size=cfg.devices_per_round)
@@ -186,6 +180,19 @@ def _aggregate(
         result, _ = masked_weighted_sum(contributions, mask_seed)
         return result
     return plain_weighted_sum(contributions)
+
+
+def _finite_losses(
+    cfg: FederationConfig, w: np.ndarray, sample: PackedShards, sampled_ids: list[str], t: int, which: str
+) -> np.ndarray:
+    # A non-finite loss means training diverged: name the round and the device.
+    losses = models.packed_losses(cfg.loss, w, sample)
+    if not np.isfinite(losses).all():
+        k = int(np.flatnonzero(~np.isfinite(losses))[0])
+        raise FloatingPointError(
+            f"round {t} diverged: device {sampled_ids[k]!r} has a non-finite {which} loss ({float(losses[k])})"
+        )
+    return losses
 
 
 def _sample_objective(losses: np.ndarray, weights: np.ndarray, theta: float) -> float:
@@ -221,12 +228,14 @@ def _round(
     # The one round body. tail=False is plain averaging: no threshold, every
     # sampled device trains, and the log's objectives are taken at theta = 1.
     if rng is None:
-        rng = _round_rng(cfg, t)
+        rng = stream(cfg.seed, 2, t)
     idx, local_seeds, mask_seed = _prepare_round(pop, cfg, rng)
     sample = pop.packed.select(idx)
     sample_weights = pop.weights[idx]
     sample_weights = sample_weights / sample_weights.sum()
-    losses = models.packed_losses(cfg.loss, w, sample)
+    ids = pop.device_ids
+    sampled_ids = [ids[k] for k in idx]
+    losses = _finite_losses(cfg, w, sample, sampled_ids, t, "reported")
 
     if tail:
         theta = cfg.theta
@@ -244,11 +253,10 @@ def _round(
     trained = _local_sgd(cfg, w, sample.select(kept), rngs, lr_schedule(cfg, t))
     w_next = _aggregate([(v, pop.shards[k].weight) for v, k in zip(trained, survivors)], cfg, mask_seed)
 
-    post_losses = models.packed_losses(cfg.loss, w_next, sample)
-    ids = pop.device_ids
+    post_losses = _finite_losses(cfg, w_next, sample, sampled_ids, t, "post-round")
     log = RoundLog(
         round_index=t,
-        sampled_ids=[ids[k] for k in idx],
+        sampled_ids=sampled_ids,
         eta=eta,
         filtered_ids=[ids[k] for k in survivors],
         pre_objective=_sample_objective(losses, sample_weights, theta),
@@ -297,8 +305,10 @@ def run_federated(
     """Drive num_rounds rounds of the chosen algorithm from w0 (zeros by default).
 
     The round threshold is recomputed every eta_period rounds and frozen in
-    between (the sampled set still changes each round). Snapshots of all
-    per-device losses are recorded every eval_every rounds when requested.
+    between (the sampled set still changes each round). Snapshots of the
+    parameters are recorded every eval_every rounds when requested. A round
+    whose reported or post-round losses are non-finite raises
+    FloatingPointError naming the round and the first such device.
     """
     if algorithm not in ("deltafl", "fedavg"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -319,28 +329,12 @@ def run_federated(
             frozen_eta = log.eta
         logs.append(log)
         if eval_every > 0 and (t + 1) % eval_every == 0:
-            losses = models.packed_losses(cfg.loss, w, pop.packed)
-            snapshots.append(
-                EvalSnapshot(
-                    round_index=t,
-                    params=w.copy(),
-                    device_losses=dict(zip(pop.device_ids, losses.tolist())),
-                )
-            )
+            snapshots.append(EvalSnapshot(round_index=t, params=w.copy()))
     return FederatedRun(params=w, rounds=logs, snapshots=snapshots)
 
 
 # ---------------------------------------------------------------------------
 # Alternating minimization on full-batch device objectives.
-
-
-@dataclass(frozen=True)
-class DeviceObjective:
-    """Full-batch value and gradient callables for one device."""
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    weight: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,23 +343,12 @@ class PopulationObjective:
 
     ``values(w)`` returns every F_k(w) in device order and
     ``weighted_grad(w, coeff)`` returns sum_k coeff[k] * grad F_k(w), each
-    in one pass over the population. Indexing and iteration give the
-    per-device DeviceObjective view.
+    in one pass over the population.
     """
 
     values: Callable[[np.ndarray], np.ndarray]
     weighted_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
     weights: np.ndarray
-    devices: tuple[DeviceObjective, ...]
-
-    def __len__(self) -> int:
-        return len(self.devices)
-
-    def __getitem__(self, k: int) -> DeviceObjective:
-        return self.devices[k]
-
-    def __iter__(self):
-        return iter(self.devices)
 
 
 def population_objectives(pop: Population, spec: LossSpec) -> PopulationObjective:
@@ -374,14 +357,6 @@ def population_objectives(pop: Population, spec: LossSpec) -> PopulationObjectiv
         values=lambda w: models.packed_losses(spec, w, packed),
         weighted_grad=lambda w, coeff: models.packed_weighted_grad(spec, w, packed, coeff),
         weights=pop.weights,
-        devices=tuple(
-            DeviceObjective(
-                value=lambda w, s=s: models.device_loss(spec, w, s),
-                grad=lambda w, s=s: models.device_grad(spec, w, s),
-                weight=s.weight,
-            )
-            for s in pop.shards
-        ),
     )
 
 
@@ -400,27 +375,16 @@ def quadratic_objectives(centers, offsets=None, weights=None) -> PopulationObjec
         coeff = np.asarray(coeff, dtype=np.float64)
         return 2.0 * (coeff.sum() * np.asarray(w, dtype=np.float64) - coeff @ centers)
 
-    return PopulationObjective(
-        values=values,
-        weighted_grad=weighted_grad,
-        weights=weights,
-        devices=tuple(
-            DeviceObjective(
-                value=lambda w, c=centers[k], b=offsets[k]: float(np.dot(w - c, w - c)) + float(b),
-                grad=lambda w, c=centers[k]: 2.0 * (w - c),
-                weight=float(weights[k]),
-            )
-            for k in range(n)
-        ),
-    )
+    return PopulationObjective(values=values, weighted_grad=weighted_grad, weights=weights)
 
 
 @dataclass(frozen=True)
 class PowerLawSchedule:
     """Inexactness budgets eps_t = eps0 * (t + 1) ** (-exponent), exponent > 1.
 
-    The exponent restriction keeps the series summable, which is what the
-    convergence guarantee of the alternating scheme needs.
+    The exponent restriction keeps the series summable (by integral
+    comparison its total is at most eps0 * (1 + 1/(exponent - 1))), which is
+    what the convergence guarantee of the alternating scheme needs.
     """
 
     eps0: float
@@ -434,10 +398,6 @@ class PowerLawSchedule:
 
     def __call__(self, t: int) -> float:
         return self.eps0 * (t + 1) ** (-self.exponent)
-
-    def total_bound(self) -> float:
-        # Integral comparison: sum_{t>=0} (t+1)^-p <= 1 + 1/(p-1).
-        return self.eps0 * (1.0 + 1.0 / (self.exponent - 1.0))
 
 
 @dataclass
@@ -514,10 +474,6 @@ class AMResult:
     @property
     def params(self) -> np.ndarray:
         return self.iterates[-1].params
-
-    @property
-    def grad_norms(self) -> list[float]:
-        return [it.grad_norm for it in self.iterates]
 
 
 def _objective_state(objectives: PopulationObjective, w: np.ndarray) -> WeightedValues:

@@ -24,7 +24,6 @@ DEFAULT_PERCENTILES = (20, 50, 60, 80, 90, 95)
 class DeviceMetricTable:
     kind: str
     device_ids: list[str]
-    sizes: list[int]
     weights: list[float]
     values: list[float]
 
@@ -32,10 +31,9 @@ class DeviceMetricTable:
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"kind must be one of {METRIC_KINDS}, got {self.kind!r}")
         n = len(self.device_ids)
-        if not (len(self.sizes) == len(self.weights) == len(self.values) == n) or n == 0:
+        if not (len(self.weights) == len(self.values) == n) or n == 0:
             raise ValueError("table columns must be non-empty and equally long")
-        # builtin scalars only, so csv exports repr cleanly whatever produced the column
-        self.sizes = [int(s) for s in self.sizes]
+        # builtin scalars only, whatever produced the column
         self.weights = [float(w) for w in self.weights]
         self.values = [float(v) for v in self.values]
         if self.kind == "test_error":
@@ -64,7 +62,6 @@ def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
     return DeviceMetricTable(
         kind=kind,
         device_ids=[s.device_id for s in pop.shards],
-        sizes=[len(s) for s in pop.shards],
         weights=[s.weight for s in pop.shards],
         values=list(values),
     )
@@ -84,30 +81,6 @@ def summarize(table: DeviceMetricTable, percentiles=DEFAULT_PERCENTILES) -> dict
     for tau in percentiles:
         out[f"p{int(tau)}"] = percentile(table, float(tau))
     return out
-
-
-def histogram(table: DeviceMetricTable, bins: int) -> list[tuple[float, int]]:
-    """Equal-width bins over [min, max], right-open except the last.
-
-    Returns (left edge, count) pairs; counts sum to the number of devices.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    values = np.asarray(table.values, dtype=np.float64)
-    counts, edges = np.histogram(values, bins=bins)
-    return [(float(edges[i]), int(counts[i])) for i in range(bins)]
-
-
-def scatter_export(table: DeviceMetricTable, path) -> None:
-    """Write one row per device (id, n_k, alpha_k, value), sorted by id."""
-    order = sorted(range(len(table)), key=lambda i: table.device_ids[i])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "n_k", "alpha_k", "value"])
-        for i in order:
-            writer.writerow(
-                [table.device_ids[i], table.sizes[i], repr(table.weights[i]), repr(table.values[i])]
-            )
 
 
 def summary_export(records: list[dict], path) -> None:

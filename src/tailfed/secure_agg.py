@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import stream
 from .superquantile import WeightedValues
 
 Contribution = tuple[np.ndarray, float]
@@ -37,15 +38,6 @@ class TranscriptMessage:
     kind: str
     payload: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "kind": self.kind,
-            "dim": int(self.payload.size),
-            "payload": self.payload.tolist(),
-        }
-
 
 @dataclass
 class AggregationTranscript:
@@ -55,13 +47,6 @@ class AggregationTranscript:
 
     def server_visible(self) -> list[np.ndarray]:
         return [m.payload for m in self.messages if m.receiver == "server"]
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "messages": [m.to_dict() for m in self.messages],
-            "flags": list(self.flags),
-        }
 
 
 def _check_contributions(contributions: Sequence[Contribution]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -96,8 +81,7 @@ def plain_weighted_sum(contributions: Sequence[Contribution]) -> np.ndarray:
 
 
 def _pair_mask(pairwise_seed: int, i: int, j: int, dim: int, scale: float) -> np.ndarray:
-    seq = np.random.SeedSequence(entropy=(int(pairwise_seed) & ((1 << 63) - 1), i, j))
-    return np.random.default_rng(seq).normal(0.0, scale, size=dim)
+    return stream(pairwise_seed, i, j).normal(0.0, scale, size=dim)
 
 
 def masked_weighted_sum(
@@ -169,7 +153,7 @@ def make_masked_aggregator(
     calls = [0]
 
     def _agg(contributions: Sequence[Contribution]) -> np.ndarray:
-        seq = np.random.SeedSequence(entropy=(int(pairwise_seed) & ((1 << 63) - 1), calls[0]))
+        seq = stream(pairwise_seed, calls[0]).bit_generator.seed_seq
         sub_seed = int(seq.generate_state(1, np.uint64)[0])
         calls[0] += 1
         result, transcript = masked_weighted_sum(contributions, sub_seed, mask_scale)
@@ -209,9 +193,6 @@ class MMQuantileResult:
     converged: bool
     iterations: int
     trace: list[float]
-
-    def pinball_trace(self, spec: PinballSpec) -> list[float]:
-        return [pinball_loss(spec, mu) for mu in self.trace]
 
 
 def _quantile_optimal(spec: PinballSpec, c: float) -> bool:

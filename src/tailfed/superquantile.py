@@ -15,8 +15,6 @@ differentiable while staying within ``nu/(2*theta)`` of the exact objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerance for probability mass checks and tie decisions.
@@ -59,26 +57,6 @@ def check_smoothing(nu: float) -> float:
     return nu
 
 
-@dataclass(frozen=True)
-class ConformityLevel:
-    """Fraction of the loss profile the tail objective averages over, in (0, 1]."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", check_conformity(self.theta))
-
-
-@dataclass(frozen=True)
-class SmoothingParam:
-    """Width of the quadratic rounding applied to the hinge, > 0."""
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", check_smoothing(self.nu))
-
-
 class WeightedValues:
     """A finite distribution: values with strictly positive probability weights.
 
@@ -107,30 +85,12 @@ class WeightedValues:
         return float(np.dot(self.values, self.weights))
 
 
-class MixtureWeights:
-    """A reweighting of devices: nonnegative entries summing to 1."""
-
-    __slots__ = ("pi",)
-
-    def __init__(self, pi) -> None:
-        self.pi = _prob_weights(np.asarray(pi), positive=False, name="pi")
-
-    def __len__(self) -> int:
-        return int(self.pi.size)
-
-
-def _mixture_array(pi) -> np.ndarray:
-    if isinstance(pi, MixtureWeights):
-        return pi.pi
-    return _prob_weights(np.asarray(pi), positive=False, name="pi")
-
-
 def conformity(pi, alpha) -> float:
     """min_k alpha_k / pi_k, the level down to which ``pi`` stays feasible.
 
     Entries with pi_k = 0 contribute +inf and drop out of the minimum.
     """
-    p = _mixture_array(pi)
+    p = _prob_weights(np.asarray(pi), positive=False, name="pi")
     a = _prob_weights(np.asarray(alpha), positive=True, name="alpha")
     if p.shape != a.shape:
         raise ValueError("pi and alpha must have matching length")
@@ -142,7 +102,7 @@ def conformity(pi, alpha) -> float:
 
 def in_feasible_set(pi, alpha, theta: float) -> bool:
     """Whether pi_k <= alpha_k / theta for all k, up to EPS slack."""
-    p = _mixture_array(pi)
+    p = _prob_weights(np.asarray(pi), positive=False, name="pi")
     a = _prob_weights(np.asarray(alpha), positive=True, name="alpha")
     theta = check_conformity(theta)
     if p.shape != a.shape:

@@ -289,6 +289,61 @@ def test_zero_rounds_is_a_config_error(tmp_path, capsys):
     assert "config.federation.num_rounds" in capsys.readouterr().err
 
 
+GAUSSIAN_DATA = {"generator": "gaussian_mixture", "means": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], "n_per_device": 5}
+
+
+@pytest.mark.parametrize(
+    "data_classes, gaussian, loss, field",
+    [
+        (2, False, {"kind": "multinomial_logistic", "num_classes": 2}, "config.loss.kind"),
+        (3, False, {"kind": "multinomial_logistic", "num_classes": 2}, "config.loss.num_classes"),
+        (3, False, {"kind": "binary_logistic"}, "config.loss.kind"),
+        (2, True, {"kind": "binary_logistic"}, "config.loss.kind"),
+    ],
+    ids=["multinomial-on-pm1", "too-few-classes", "binary-on-3-classes", "binary-on-gaussian"],
+)
+def test_validate_rejects_loss_that_cannot_read_the_labels(tmp_path, capsys, data_classes, gaussian, loss, field):
+    # hetero_logistic labels are -1/+1 at 2 classes and 0..C-1 above; gaussian_mixture labels are 0
+    cfg = tiny_config(tmp_path / "out", loss=loss)
+    cfg["data"]["num_classes"] = data_classes
+    if gaussian:
+        cfg["data"] = GAUSSIAN_DATA
+    path = write_config(tmp_path, cfg)
+    for argv in (["validate", "--config", path], ["run", "--config", path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_accepts_loss_that_reads_the_labels(tmp_path):
+    ok = [
+        (3, {"kind": "multinomial_logistic", "num_classes": 3}),
+        (3, {"kind": "multinomial_logistic", "num_classes": 5}),
+        (3, {"kind": "squared_distance"}),
+        (None, {"kind": "multinomial_logistic", "num_classes": 2}),
+        (None, {"kind": "squared_distance"}),
+    ]
+    for data_classes, loss in ok:
+        cfg = tiny_config(tmp_path / "out", loss=loss)
+        if data_classes is None:
+            cfg["data"] = GAUSSIAN_DATA
+        else:
+            cfg["data"]["num_classes"] = data_classes
+        assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+def test_diverging_run_names_round_and_device(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "out", thetas=[0.5], data=GAUSSIAN_DATA, loss={"kind": "squared_distance"})
+    cfg["federation"] = {"num_rounds": 400, "devices_per_round": 2, "lr0": 10.0}
+    path = write_config(tmp_path, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: round ")
+    assert "diverged: device 'dev0" in err and "non-finite" in err
+
+
 def test_runtime_failure_exits_two(tmp_path, capsys):
     cfg = tiny_config(tmp_path / "out")
     cfg["data"] = {"device_file": str(tmp_path / "missing.jsonl")}

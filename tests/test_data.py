@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailfed import (
     DeviceShard,
@@ -11,6 +13,7 @@ from tailfed import (
     load_devices_jsonl,
     save_devices_jsonl,
     split_devices,
+    stream,
     weights_by_count,
 )
 
@@ -50,15 +53,19 @@ def test_weights_by_count():
     ]
     pop = weights_by_count(shards)
     assert pop.weights == pytest.approx([0.25, 0.75])
-    assert pop.num_classes == 2
 
 
-def test_shard_examples_view():
-    shard = DeviceShard("a", np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1]))
-    exs = shard.examples
-    assert len(exs) == 2
-    assert exs[1].y == -1
-    assert np.allclose(exs[1].x, [3.0, 4.0])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(-(2**63), 2**63 - 1),
+    tags=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+)
+def test_stream_is_the_masked_seed_sequence(seed, tags):
+    # every seed site relies on this: same entropy, same generator, same draws
+    want = np.random.default_rng(np.random.SeedSequence(entropy=(seed & (2**63 - 1), *tags)))
+    got = stream(seed, *tags)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(4), want.random(4))
 
 
 # ---------------------------------------------------------------------------

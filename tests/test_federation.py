@@ -260,8 +260,10 @@ def test_snapshots_recorded_on_schedule():
     cfg = base_config(num_rounds=6)
     run = run_federated(pop, cfg, algorithm="fedavg", eval_every=2)
     assert [s.round_index for s in run.snapshots] == [1, 3, 5]
+    # each snapshot holds the parameters right after its round
     for snap in run.snapshots:
-        assert sorted(snap.device_losses) == sorted(pop.device_ids)
+        short = run_federated(pop, base_config(num_rounds=snap.round_index + 1), algorithm="fedavg")
+        assert np.array_equal(snap.params, short.params)
 
 
 def test_training_actually_improves_tail_objective():
@@ -288,7 +290,8 @@ def test_power_law_schedule():
     sched = PowerLawSchedule(0.1, 1.5)
     assert sched(0) == pytest.approx(0.1)
     assert sched(3) == pytest.approx(0.1 * 4 ** -1.5)
-    assert sched.total_bound() == pytest.approx(0.1 * 3.0)
+    # summable: the budgets total at most eps0 * (1 + 1/(exponent - 1))
+    assert sum(sched(t) for t in range(10_000)) <= 0.1 * 3.0
     with pytest.raises(ValueError):
         PowerLawSchedule(0.0)
     with pytest.raises(ValueError):
@@ -324,10 +327,10 @@ def test_certified_gd_reports_stall():
 def test_quadratic_objectives_evaluate():
     objs = quadratic_objectives([[0.0, 0.0], [2.0, 0.0]], offsets=[1.0, 3.0])
     w = np.array([1.0, 1.0])
-    assert objs[0].value(w) == pytest.approx(3.0)
-    assert objs[1].value(w) == pytest.approx(5.0)
-    assert np.allclose(objs[1].grad(w), [-2.0, 2.0])
-    assert sum(o.weight for o in objs) == pytest.approx(1.0)
+    assert np.allclose(objs.values(w), [3.0, 5.0])
+    assert np.allclose(objs.weighted_grad(w, np.array([0.0, 1.0])), [-2.0, 2.0])
+    assert np.allclose(objs.weighted_grad(w, np.array([1.0, 0.0])), [2.0, 2.0])
+    assert objs.weights.sum() == pytest.approx(1.0)
 
 
 def test_am_descent_inequality_and_flat_threshold():
@@ -346,8 +349,9 @@ def test_am_descent_inequality_and_flat_threshold():
         assert abs(it.eta_slope) <= 1e-10
         gap = it.smoothed_value - it.nonsmooth_value
         assert -1e-12 <= gap <= 0.05 / (2 * 0.6) + 1e-12
-    assert res.grad_norms[-1] < res.grad_norms[0]
-    assert res.grad_norms[-1] <= 1e-2
+    grad_norms = [it.grad_norm for it in res.iterates]
+    assert grad_norms[-1] < grad_norms[0]
+    assert grad_norms[-1] <= 1e-2
 
 
 def test_am_single_device_reaches_its_center():
@@ -370,10 +374,12 @@ def test_am_population_objectives_agree_with_device_loss():
     spec = LossSpec("binary_logistic", l2_reg=0.01)
     objs = population_objectives(pop, spec)
     w = np.array([0.2, -0.1, 0.4])
-    for obj, shard in zip(objs, pop.shards):
-        assert obj.value(w) == pytest.approx(models.device_loss(spec, w, shard), abs=1e-15)
-        assert np.allclose(obj.grad(w), models.device_grad(spec, w, shard))
-        assert obj.weight == shard.weight
+    values = objs.values(w)
+    for k, shard in enumerate(pop.shards):
+        assert values[k] == pytest.approx(models.device_loss(spec, w, shard), rel=1e-12)
+        e_k = np.eye(len(pop))[k]
+        assert np.allclose(objs.weighted_grad(w, e_k), models.device_grad(spec, w, shard), rtol=1e-12, atol=0)
+    assert np.array_equal(objs.weights, pop.weights)
 
 
 def test_smoothed_full_gradient_matches_fd():

@@ -1,4 +1,4 @@
-"""Metric tables, percentile summaries, and CSV exports."""
+"""Metric tables, percentile summaries, and the CSV export."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from tailfed import (
     LossSpec,
     device_loss,
     gen_hetero_logistic,
-    histogram,
     percentile,
-    scatter_export,
     summarize,
     summary_export,
     table_from_population,
@@ -22,7 +20,6 @@ def uniform_table(values, kind="train_loss"):
     return DeviceMetricTable(
         kind=kind,
         device_ids=[f"dev{i:03d}" for i in range(n)],
-        sizes=[10] * n,
         weights=[1.0 / n] * n,
         values=list(values),
     )
@@ -32,11 +29,11 @@ def test_table_validation():
     with pytest.raises(ValueError):
         uniform_table([0.5], kind="banana")
     with pytest.raises(ValueError):
-        DeviceMetricTable("train_loss", ["a"], [1, 2], [1.0], [0.5])
+        DeviceMetricTable("train_loss", ["a"], [0.5, 0.5], [0.5])
     with pytest.raises(ValueError):
         uniform_table([0.5, 1.5], kind="test_error")
     with pytest.raises(ValueError):
-        DeviceMetricTable("train_loss", [], [], [], [])
+        DeviceMetricTable("train_loss", [], [], [])
 
 
 def test_percentile_four_point_median():
@@ -69,11 +66,10 @@ def test_percentiles_monotone():
 
 def test_train_loss_weighted_but_test_error_uniform():
     ids = ["a", "b"]
-    sizes = [10, 90]
     weights = [0.1, 0.9]
     values = [0.0, 1.0]
-    loss_table = DeviceMetricTable("train_loss", ids, sizes, weights, values)
-    err_table = DeviceMetricTable("test_error", ids, sizes, weights, values)
+    loss_table = DeviceMetricTable("train_loss", ids, weights, values)
+    err_table = DeviceMetricTable("test_error", ids, weights, values)
     # weighted: 90% of the mass sits at 1, pulling the median up
     assert percentile(loss_table, 50) == 1.0
     # uniform over devices: the lower-quantile convention picks 0
@@ -92,57 +88,14 @@ def test_summarize_keys_and_values():
     assert set(custom) == {"mean", "p90"}
 
 
-def test_histogram_counts_and_edges():
-    table = uniform_table([0.0, 0.1, 0.4, 0.9, 1.0])
-    out = histogram(table, bins=2)
-    assert len(out) == 2
-    assert sum(c for _, c in out) == 5
-    assert out[0][0] == pytest.approx(0.0)
-    assert out[1][0] == pytest.approx(0.5)
-    assert out[0][1] == 3 and out[1][1] == 2
-    with pytest.raises(ValueError):
-        histogram(table, bins=0)
-
-
 def test_table_from_population():
     pop = gen_hetero_logistic(6, (3, 9), 2, 2, 0.5, seed=8)
     spec = LossSpec("binary_logistic")
     w = np.zeros(2)
     table = table_from_population(pop, "train_loss", lambda s: device_loss(spec, w, s))
     assert table.device_ids == pop.device_ids
-    assert table.sizes == [len(s) for s in pop.shards]
     assert table.weights == pytest.approx(pop.weights)
     assert table.values == pytest.approx([np.log(2)] * 6)
-
-
-def test_scatter_export_round_trips_exactly(tmp_path):
-    rng = np.random.default_rng(61)
-    values = list(rng.normal(size=5))
-    table = DeviceMetricTable(
-        "train_loss",
-        ["z", "a", "m", "b", "k"],
-        [1, 2, 3, 4, 5],
-        [0.2] * 5,
-        values,
-    )
-    path = tmp_path / "scatter.csv"
-    scatter_export(table, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,n_k,alpha_k,value"
-    ids = [ln.split(",")[0] for ln in lines[1:]]
-    assert ids == sorted(ids)
-    by_id = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
-    for i, dev in enumerate(table.device_ids):
-        assert float(by_id[dev][3]) == values[i]  # repr round-trip is lossless
-
-
-def test_scatter_export_deterministic(tmp_path):
-    table = uniform_table([0.5, 0.25, 0.125])
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    scatter_export(table, p1)
-    scatter_export(table, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_summary_export_stable_header(tmp_path):

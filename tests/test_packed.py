@@ -47,7 +47,7 @@ def populations(draw):
             y = np.zeros(n)
         shards.append(DeviceShard(f"d{k}", X, y, float(n)))
     w = rng.normal(size=spec.param_dim(p))
-    return spec, Population(shards, num_classes=num_classes), w, rng
+    return spec, Population(shards), w, rng
 
 
 @SETTINGS

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from tailfed import (
-    ConformityLevel,
-    MixtureWeights,
-    SmoothingParam,
     WeightedValues,
     conformity,
     in_feasible_set,
@@ -21,6 +18,7 @@ from tailfed import (
     superquantile,
     weighted_quantile,
 )
+from tailfed.superquantile import check_conformity, check_smoothing
 
 from oracles import (
     grid_eta_minimum,
@@ -42,22 +40,22 @@ def random_instance(rng, n=None, scale=None):
 
 
 # ---------------------------------------------------------------------------
-# validation types
+# input validation
 
 
 def test_conformity_level_bounds():
-    ConformityLevel(1.0)
-    ConformityLevel(0.05)
+    assert check_conformity(1.0) == 1.0
+    assert check_conformity(0.05) == 0.05
     for bad in (0.0, -0.2, 1.2, float("nan")):
         with pytest.raises(ValueError):
-            ConformityLevel(bad)
+            check_conformity(bad)
 
 
 def test_smoothing_param_positive():
-    SmoothingParam(1e-9)
-    for bad in (0.0, -1.0, float("nan")):
+    assert check_smoothing(1e-9) == 1e-9
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            SmoothingParam(bad)
+            check_smoothing(bad)
 
 
 def test_weighted_values_rejects_bad_inputs():
@@ -76,16 +74,16 @@ def test_weighted_values_renormalizes_small_drift():
 
 def test_conformity_examples():
     alpha = np.array([1 / 3, 1 / 3, 1 / 3])
-    assert conformity(MixtureWeights(alpha), alpha) == pytest.approx(1.0)
-    assert conformity(MixtureWeights([1.0, 0.0, 0.0]), alpha) == pytest.approx(1 / 3)
-    assert conformity(MixtureWeights([0.5, 0.25, 0.25]), alpha) == pytest.approx(2 / 3)
+    assert conformity(alpha, alpha) == pytest.approx(1.0)
+    assert conformity(np.array([1.0, 0.0, 0.0]), alpha) == pytest.approx(1 / 3)
+    assert conformity(np.array([0.5, 0.25, 0.25]), alpha) == pytest.approx(2 / 3)
 
 
 def test_feasible_set_examples():
     alpha = np.array([1 / 3, 1 / 3, 1 / 3])
-    assert in_feasible_set(MixtureWeights(alpha), alpha, 0.7)
-    assert in_feasible_set(MixtureWeights([0.5, 0.5, 0.0]), alpha, 2 / 3)
-    assert not in_feasible_set(MixtureWeights([0.6, 0.4, 0.0]), alpha, 2 / 3)
+    assert in_feasible_set(alpha, alpha, 0.7)
+    assert in_feasible_set(np.array([0.5, 0.5, 0.0]), alpha, 2 / 3)
+    assert not in_feasible_set(np.array([0.6, 0.4, 0.0]), alpha, 2 / 3)
 
 
 def test_feasibility_matches_conformity():
@@ -97,9 +95,8 @@ def test_feasibility_matches_conformity():
         p = rng.uniform(0.0, 1.0, size=n)
         p /= p.sum()
         theta = float(rng.uniform(0.05, 1.0))
-        pi = MixtureWeights(p)
-        feasible = in_feasible_set(pi, a, theta)
-        c = conformity(pi, a)
+        feasible = in_feasible_set(p, a, theta)
+        c = conformity(p, a)
         # skip knife-edge draws where the tolerance collar decides
         if abs(c - theta) > 1e-9:
             assert feasible == (c >= theta)
