@@ -224,24 +224,31 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
 def _check_loss_reads_labels(data: dict, loss: LossSpec) -> None:
     # The generators' labels: hetero_logistic writes -1/+1 for 2 classes and
-    # 0..C-1 for more, gaussian_mixture writes 0. Device files are not read
-    # before a run, so their labels go unchecked here.
+    # 0..C-1 for more, gaussian_mixture writes 0. Device files are checked
+    # when a run loads them.
     gen = data.get("generator")
-    if gen is None or loss.kind == "squared_distance":
+    if gen is not None:
+        classes = data["num_classes"] if gen == "hetero_logistic" else 1
+        _check_labels(loss, [-1, 1] if classes == 2 else list(range(classes)), f"{gen} data")
+
+
+def _check_labels(loss: LossSpec, labels: list, source: str) -> None:
+    # What each loss reads: binary_logistic -1/+1, multinomial_logistic class
+    # indices 0..num_classes-1, squared_distance any labels. (Plain Python:
+    # np.unique would import numpy.ma, about 1 MB, on every run.)
+    if loss.kind == "squared_distance":
         return
-    classes = data["num_classes"] if gen == "hetero_logistic" else 1
-    signed = gen == "hetero_logistic" and classes == 2
-    labels = "-1/+1" if signed else ("0" if classes == 1 else f"0..{classes - 1}")
-    if loss.kind == "binary_logistic" and not signed:
-        raise ConfigError(f"config.loss.kind binary_logistic needs labels -1/+1, but {gen} data has labels {labels}")
-    if loss.kind == "multinomial_logistic" and signed:
-        raise ConfigError(
-            f"config.loss.kind multinomial_logistic needs class labels 0..C-1, but {gen} data has labels {labels}"
-        )
-    if loss.kind == "multinomial_logistic" and classes > loss.num_classes:
-        raise ConfigError(
-            f"config.loss.num_classes {loss.num_classes} cannot read {gen} data with labels {labels}"
-        )
+    vals = sorted(set(labels))
+    if loss.kind == "binary_logistic" and not set(vals) <= {-1, 1}:
+        problem = "config.loss.kind binary_logistic needs labels -1/+1, but {} has labels {}"
+    elif loss.kind == "multinomial_logistic" and not all(v >= 0 and float(v).is_integer() for v in vals):
+        problem = "config.loss.kind multinomial_logistic needs class labels 0..C-1, but {} has labels {}"
+    elif loss.kind == "multinomial_logistic" and vals[-1] >= loss.num_classes:
+        problem = f"config.loss.num_classes {loss.num_classes} cannot read {{}} with labels {{}}"
+    else:
+        return
+    shown = "/".join(f"{v:g}" for v in vals[:5]) + ("/..." if len(vals) > 5 else "")
+    raise ConfigError(problem.format(source, shown))
 
 
 def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> FederationConfig:
@@ -251,7 +258,10 @@ def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> Federa
 def _build_population(cfg: ExperimentConfig, seed: int) -> Population:
     data = cfg.data
     if "device_file" in data:
-        return load_devices_jsonl(data["device_file"])
+        pop = load_devices_jsonl(data["device_file"])
+        for s in pop.shards:
+            _check_labels(cfg.loss, s.labels.tolist(), f"device {s.device_id!r} of {data['device_file']}")
+        return pop
     data_seed = data.get("seed")
     root = int(data_seed) if data_seed is not None else seed
     if data["generator"] == "hetero_logistic":

@@ -133,7 +133,9 @@ def stream(seed: int, *tags: int) -> np.random.Generator:
     Equal to ``default_rng(SeedSequence(entropy=(seed mod 2**63, *tags)))``:
     the seed is masked to 63 bits, since entropy must be nonnegative, so any
     int64 seed works, negative ones included. The tags keep the streams of
-    one seed apart (see the README's Reproducibility section).
+    one seed apart (see the README's Reproducibility section), except that
+    SeedSequence pads short entropy with zero words: tags that differ only
+    by trailing zeros, such as ``()``, ``(0,)`` and ``(0, 0)``, name one stream.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed) & ((1 << 63) - 1), *tags)))
 

@@ -173,20 +173,13 @@ def _prepare_round(
     return idx, local_seeds, mask_seed
 
 
-def _aggregate(
-    contributions: list[tuple[np.ndarray, float]], cfg: FederationConfig, mask_seed: int | None
-) -> np.ndarray:
-    if cfg.aggregation == "masked":
-        result, _ = masked_weighted_sum(contributions, mask_seed)
-        return result
-    return plain_weighted_sum(contributions)
-
-
 def _finite_losses(
     cfg: FederationConfig, w: np.ndarray, sample: PackedShards, sampled_ids: list[str], t: int, which: str
 ) -> np.ndarray:
-    # A non-finite loss means training diverged: name the round and the device.
-    losses = models.packed_losses(cfg.loss, w, sample)
+    # A non-finite loss means training diverged: name the round and the device
+    # here, instead of numpy's overflow warning on the way there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = models.packed_losses(cfg.loss, w, sample)
     if not np.isfinite(losses).all():
         k = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise FloatingPointError(
@@ -208,8 +201,6 @@ def _round_threshold(
 ) -> float:
     if eta_override is not None:
         return float(eta_override)
-    if cfg.theta == 1.0:
-        return float(losses.min())
     if cfg.eta_protocol == "secure_mm":
         agg = make_masked_aggregator(mask_seed) if cfg.aggregation == "masked" else None
         return secure_quantile_for_round(losses, sample_weights, cfg.theta, aggregator=agg)
@@ -231,8 +222,8 @@ def _round(
         rng = stream(cfg.seed, 2, t)
     idx, local_seeds, mask_seed = _prepare_round(pop, cfg, rng)
     sample = pop.packed.select(idx)
-    sample_weights = pop.weights[idx]
-    sample_weights = sample_weights / sample_weights.sum()
+    weights = pop.weights[idx]
+    sample_weights = weights / weights.sum()
     ids = pop.device_ids
     sampled_ids = [ids[k] for k in idx]
     losses = _finite_losses(cfg, w, sample, sampled_ids, t, "reported")
@@ -251,7 +242,9 @@ def _round(
 
     rngs = [np.random.default_rng(local_seeds[k]) for k in survivors]
     trained = _local_sgd(cfg, w, sample.select(kept), rngs, lr_schedule(cfg, t))
-    w_next = _aggregate([(v, pop.shards[k].weight) for v, k in zip(trained, survivors)], cfg, mask_seed)
+    contributions = list(zip(trained, weights[kept]))
+    masked = cfg.aggregation == "masked"
+    w_next = masked_weighted_sum(contributions, mask_seed)[0] if masked else plain_weighted_sum(contributions)
 
     post_losses = _finite_losses(cfg, w_next, sample, sampled_ids, t, "post-round")
     log = RoundLog(

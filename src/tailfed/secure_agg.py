@@ -7,9 +7,9 @@ while every individual payload it sees is masked. A transcript records what
 crossed the wire so tests can audit exactly that.
 
 The quantile protocol reformulates quantile estimation as minimization of
-the pinball loss and runs a majorize-minimize iteration whose two sums per
-step (numerator and denominator) are themselves computed through the
-aggregator, so it composes with masking.
+the pinball loss and runs a majorize-minimize iteration whose numerator and
+denominator sums travel together through one aggregator call per step, so
+one step is one secure-aggregation round trip and composes with masking.
 """
 
 from __future__ import annotations
@@ -49,39 +49,30 @@ class AggregationTranscript:
         return [m.payload for m in self.messages if m.receiver == "server"]
 
 
-def _check_contributions(contributions: Sequence[Contribution]) -> tuple[list[np.ndarray], np.ndarray]:
+def _check_contributions(contributions: Sequence[Contribution]) -> tuple[np.ndarray, np.ndarray]:
+    """The contributions as one (n, dim) matrix and one (n,) weight vector."""
     if len(contributions) == 0:
         raise ValueError("aggregation needs at least one contribution")
-    vectors = []
-    weights = []
-    dim = None
-    for v, w in contributions:
-        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        if v.ndim != 1:
-            raise ValueError("contributions must be vectors")
-        if dim is None:
-            dim = v.size
-        elif v.size != dim:
-            raise ValueError("contributions must share one dimension")
-        w = float(w)
-        if not (w > 0.0):
-            raise ValueError(f"contribution weights must be positive, got {w!r}")
-        vectors.append(v)
-        weights.append(w)
-    return vectors, np.asarray(weights, dtype=np.float64)
+    vectors = [np.atleast_1d(np.asarray(v, dtype=np.float64)) for v, _ in contributions]
+    if any(v.ndim != 1 for v in vectors):
+        raise ValueError("contributions must be vectors")
+    if len({v.size for v in vectors}) != 1:
+        raise ValueError("contributions must share one dimension")
+    weights = np.array([float(w) for _, w in contributions])
+    bad = ~(weights > 0.0)
+    if bad.any():
+        raise ValueError(f"contribution weights must be positive, got {float(weights[bad][0])!r}")
+    return np.array(vectors), weights
 
 
 def plain_weighted_sum(contributions: Sequence[Contribution]) -> np.ndarray:
     """Weighted average of the contributions, weights renormalized over the set."""
     vectors, weights = _check_contributions(contributions)
-    total = np.zeros_like(vectors[0])
-    for v, w in zip(vectors, weights):
-        total += w * v
-    return total / weights.sum()
-
-
-def _pair_mask(pairwise_seed: int, i: int, j: int, dim: int, scale: float) -> np.ndarray:
-    return stream(pairwise_seed, i, j).normal(0.0, scale, size=dim)
+    # A running sum from zero, row by row in contribution order, as a loop
+    # adds them: .sum(axis=0) adds a single column pairwise, which changes
+    # the last bits of the result.
+    rows = np.vstack([np.zeros(vectors.shape[1]), weights[:, None] * vectors])
+    return np.cumsum(rows, axis=0)[-1] / weights.sum()
 
 
 def masked_weighted_sum(
@@ -91,32 +82,28 @@ def masked_weighted_sum(
 ) -> tuple[np.ndarray, AggregationTranscript]:
     """Weighted average computed from masked payloads.
 
-    Each client sends [w_k * v_k, w_k] plus pairwise antisymmetric masks; the
-    masks cancel when the server adds the payloads, leaving the exact
-    numerator and denominator. A single contributor cannot be masked, so that
-    case degenerates to the plain path and is flagged on the transcript.
+    Client k's payload is [w_k * v_k, w_k] plus one mask per pair i < j,
+    added by client i and subtracted by client j, so the masks cancel when
+    the server adds the payloads and leave the exact numerator and
+    denominator. Every mask of one call comes from ``stream(pairwise_seed)``.
+    A single contributor cannot be masked, so that case degenerates to the
+    plain path and is flagged on the transcript.
     """
     vectors, weights = _check_contributions(contributions)
-    n = len(vectors)
-    dim = vectors[0].size
-    transcript = AggregationTranscript(mode="masked")
+    n, dim = vectors.shape
+    payloads = np.column_stack([weights[:, None] * vectors, weights])
     if n == 1:
-        transcript.flags.append("single_contributor_unmasked")
-        payload = np.concatenate([weights[0] * vectors[0], [weights[0]]])
-        transcript.messages.append(TranscriptMessage("client000", "server", "plain_update", payload))
-        return vectors[0].copy(), transcript
-    payload_sum = np.zeros(dim + 1)
-    for i in range(n):
-        payload = np.concatenate([weights[i] * vectors[i], [weights[i]]])
-        for j in range(n):
-            if j == i:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            mask = _pair_mask(pairwise_seed, lo, hi, dim + 1, mask_scale)
-            payload = payload + mask if i < j else payload - mask
-        transcript.messages.append(TranscriptMessage(f"client{i:03d}", "server", "masked_update", payload))
-        payload_sum += payload
-    return payload_sum[:dim] / payload_sum[dim], transcript
+        message = TranscriptMessage("client000", "server", "plain_update", payloads[0])
+        return vectors[0].copy(), AggregationTranscript("masked", [message], ["single_contributor_unmasked"])
+    rng = stream(pairwise_seed)
+    for i in range(n - 1):
+        # Client i's masks for every j > i, one row each.
+        masks = rng.normal(0.0, mask_scale, size=(n - i - 1, dim + 1))
+        payloads[i] += masks.sum(axis=0)
+        payloads[i + 1 :] -= masks
+    sent = [TranscriptMessage(f"client{i:03d}", "server", "masked_update", p) for i, p in enumerate(payloads)]
+    total = payloads.sum(axis=0)
+    return total[:dim] / total[dim], AggregationTranscript("masked", sent)
 
 
 def audit_transcript(
@@ -129,17 +116,10 @@ def audit_transcript(
     In masked mode a healthy transcript keeps this far above 1e-9.
     """
     vectors, weights = _check_contributions(contributions)
-    raws = []
-    for v, w in zip(vectors, weights):
-        raws.append(np.concatenate([w * v, [w]]))
-        raws.append(np.concatenate([v, [w]]))
-    min_rel = np.inf
-    for payload in transcript.server_visible():
-        for raw in raws:
-            if payload.size != raw.size:
-                continue
-            denom = max(float(np.linalg.norm(raw)), 1.0)
-            min_rel = min(min_rel, float(np.linalg.norm(payload - raw)) / denom)
+    raws = np.column_stack([np.vstack([weights[:, None] * vectors, vectors]), np.tile(weights, 2)])
+    denom = np.maximum(np.linalg.norm(raws, axis=1), 1.0)
+    rel = [np.linalg.norm(p - raws, axis=1) / denom for p in transcript.server_visible() if p.size == raws.shape[1]]
+    min_rel = float(np.min(rel)) if rel else np.inf
     leaked = transcript.mode == "masked" and not transcript.flags and min_rel <= 1e-9
     return {"min_relative_distance": min_rel, "leaked": bool(leaked), "flags": list(transcript.flags)}
 
@@ -149,14 +129,13 @@ def make_masked_aggregator(
     mask_scale: float = DEFAULT_MASK_SCALE,
     transcripts: list[AggregationTranscript] | None = None,
 ) -> Aggregator:
-    """Aggregator closure over masked_weighted_sum; each call gets a fresh sub-seed."""
-    calls = [0]
+    """Aggregator closure over masked_weighted_sum. Call c masks with the c-th
+    sub-seed drawn from ``stream(pairwise_seed, 1)``, a stream apart from the
+    masks of ``masked_weighted_sum(..., pairwise_seed)`` itself."""
+    sub_seeds = stream(pairwise_seed, 1)
 
     def _agg(contributions: Sequence[Contribution]) -> np.ndarray:
-        seq = stream(pairwise_seed, calls[0]).bit_generator.seed_seq
-        sub_seed = int(seq.generate_state(1, np.uint64)[0])
-        calls[0] += 1
-        result, transcript = masked_weighted_sum(contributions, sub_seed, mask_scale)
+        result, transcript = masked_weighted_sum(contributions, int(sub_seeds.integers(1 << 63)), mask_scale)
         if transcripts is not None:
             transcripts.append(transcript)
         return result
@@ -235,8 +214,9 @@ def mm_quantile(
         mu <- (sum_k beta_k x_k + (2 tau - 1)) / sum_k beta_k,
         beta_k = a_k / |x_k - mu|.
 
-    Both sums are obtained through two aggregator calls, so the server never
-    handles per-device values directly when a masking aggregator is passed.
+    Both sums come from one aggregator call on [beta_k x_k, beta_k], one
+    secure-aggregation round trip per step, so the server never handles
+    per-device values directly when a masking aggregator is passed.
     An iterate that lands on a data point stays there under the update rule,
     so it is returned once it passes the optimality check and stepped off
     otherwise. Non-convergence within max_iters returns the best iterate with
@@ -269,15 +249,15 @@ def mm_quantile(
             trace.append(mu)
             continue
         beta = a / np.maximum(dist, MM_CLIP)
-        num = float(aggregator([(np.array([b * v]), 1.0) for b, v in zip(beta, x)])[0]) * x.size
-        den = float(aggregator([(np.array([b]), 1.0) for b in beta])[0]) * x.size
+        num, den = (aggregator([(np.array([b * v, b]), 1.0) for b, v in zip(beta, x)]) * x.size).tolist()
         mu_next = (num + (2.0 * spec.tau - 1.0)) / den
         # A minimizer of a discrete pinball loss is always a data point, and
         # the plain iteration only crawls into it geometrically. Once the
         # nearest point passes the quantile optimality check, finishing there
-        # is exact and cannot increase the loss.
+        # is exact and cannot increase the loss. (Comparing the two losses
+        # as well would let roundoff in the sums decide on a flat stretch.)
         near = float(x[np.argmin(np.abs(x - mu_next))])
-        if _quantile_optimal(spec, near) and pinball_loss(spec, near) <= pinball_loss(spec, mu_next):
+        if _quantile_optimal(spec, near):
             trace.append(near)
             return MMQuantileResult(near, True, it, trace)
         trace.append(mu_next)
@@ -299,11 +279,9 @@ def secure_quantile_for_round(
     """(1-theta)-quantile of reported losses via the aggregated MM protocol.
 
     theta = 1 short-circuits to the minimum loss so that every reporting
-    device passes the subsequent filter. A single device returns its own loss.
+    device passes the subsequent filter.
     """
     losses = np.asarray(losses, dtype=np.float64)
-    if losses.size == 1:
-        return float(losses[0])
     if float(theta) == 1.0:
         return float(losses.min())
     w = np.asarray(weights, dtype=np.float64)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tailfed import gen_hetero_logistic, save_devices_jsonl
 from tailfed.cli import (
     ConfigError,
     cmd_gaussian_demo,
@@ -333,15 +334,41 @@ def test_validate_accepts_loss_that_reads_the_labels(tmp_path):
         assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
 
 
-def test_diverging_run_names_round_and_device(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "data_classes, loss, field, device",
+    [
+        (3, {"kind": "binary_logistic"}, "config.loss.kind", "dev000"),
+        (3, {"kind": "multinomial_logistic", "num_classes": 2}, "config.loss.num_classes", "dev001"),
+        (2, {"kind": "multinomial_logistic", "num_classes": 2}, "config.loss.kind", "dev000"),
+    ],
+    ids=["binary-on-3-classes", "too-few-classes", "multinomial-on-pm1"],
+)
+def test_run_rejects_device_file_labels_the_loss_cannot_read(tmp_path, capsys, data_classes, loss, field, device):
+    # Device files are read at run time, so validate passes and run stops
+    # with a config error before round 0, naming the field and the device.
+    # With seed 11 at 3 classes, dev000 has labels 0/1 and dev001 0/2.
+    device_file = tmp_path / "devices.jsonl"
+    save_devices_jsonl(gen_hetero_logistic(10, (4, 9), 3, data_classes, 1.0, seed=11), device_file)
+    cfg = tiny_config(tmp_path / "out", thetas=[0.5], loss=loss, data={"device_file": str(device_file)})
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and f"device {device!r}" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_diverging_run_names_round_and_device(tmp_path, capsys, recwarn):
     cfg = tiny_config(tmp_path / "out", thetas=[0.5], data=GAUSSIAN_DATA, loss={"kind": "squared_distance"})
     cfg["federation"] = {"num_rounds": 400, "devices_per_round": 2, "lr0": 10.0}
     path = write_config(tmp_path, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", path]) == 2
+    assert main(["run", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: round ")
     assert "diverged: device 'dev0" in err and "non-finite" in err
+    # The error says it all; numpy's overflow warnings on the way are not shown.
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):

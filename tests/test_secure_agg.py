@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailfed import (
     PinballSpec,
@@ -15,6 +17,7 @@ from tailfed import (
     weighted_quantile,
     WeightedValues,
 )
+from tailfed.data import stream
 
 from oracles import grid_pinball_minimum, pinball_naive
 
@@ -41,6 +44,20 @@ def assert_descent(spec, result):
 def test_plain_weighted_sum_known_value():
     got = plain_weighted_sum([(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 3.0)])
     assert np.allclose(got, [0.25, 0.75])
+
+
+@given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_plain_weighted_sum_adds_rows_in_contribution_order(n, dim, seed):
+    # Bit for bit the row-by-row sum; numpy's pairwise column sum differs in
+    # the last bits, mostly at dim 1, and would change plain-run artifacts.
+    rng = np.random.default_rng(seed)
+    contribs = random_contributions(rng, n=n, dim=dim)
+    total = np.zeros(dim)
+    for v, w in contribs:
+        total += np.float64(w) * v
+    expected = total / np.array([w for _, w in contribs]).sum()
+    assert plain_weighted_sum(contribs).tobytes() == expected.tobytes()
 
 
 def test_contribution_validation():
@@ -119,6 +136,23 @@ def test_aggregator_factory_rotates_masks_but_not_results():
     p1 = transcripts[0].messages[0].payload
     p2 = transcripts[1].messages[0].payload
     assert not np.allclose(p1, p2)  # fresh sub-seed per call
+
+
+def test_aggregator_masks_differ_from_a_direct_masked_sum():
+    # The aggregator's sub-seeds must not come from the direct sum's stream
+    # of the same seed: a round's threshold step would then reuse its update
+    # masks.
+    contribs = [(np.array([1.0, 5.0]), 1.0), (np.array([-2.0, 0.5]), 2.0), (np.array([0.5, 0.5]), 1.5)]
+    transcripts = []
+    make_masked_aggregator(pairwise_seed=23, transcripts=transcripts)(contribs)
+    _, direct = masked_weighted_sum(contribs, pairwise_seed=23)
+    for sent, own in zip(transcripts[0].server_visible(), direct.server_visible()):
+        assert not np.allclose(sent, own)
+    # The sub-seeds are the draws of stream(seed, 1), in call order.
+    sub_seed = int(stream(23, 1).integers(1 << 63))
+    _, expected = masked_weighted_sum(contribs, pairwise_seed=sub_seed)
+    for sent, own in zip(transcripts[0].server_visible(), expected.server_visible()):
+        assert np.array_equal(sent, own)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +247,12 @@ def test_mm_flat_interval_returns_a_minimizer():
     assert pinball_loss(spec, res.value) == pytest.approx(pinball_loss(spec, 0.0), abs=1e-12)
 
 
-def test_mm_two_aggregator_calls_per_update():
+def test_mm_one_aggregator_call_per_update():
     calls = [0]
 
     def counting(contribs):
         calls[0] += 1
+        assert all(np.shape(v) == (2,) for v, _ in contribs)  # [beta_k x_k, beta_k]
         return plain_weighted_sum(contribs)
 
     rng = np.random.default_rng(46)
@@ -226,7 +261,21 @@ def test_mm_two_aggregator_calls_per_update():
     spec = PinballSpec(vals, w, tau=0.3)
     res = mm_quantile(spec, aggregator=counting)
     assert res.converged
-    assert calls[0] == 2 * res.iterations
+    assert calls[0] == res.iterations
+
+
+def test_mm_flat_stretch_snaps_to_the_same_point_masked_or_plain():
+    # Cumulative weight reaches tau = 1/2 exactly at 0.46, so the pinball
+    # loss is flat on [0.46, 0.53] and the MM start (the weighted mean,
+    # 0.491) lies on that stretch. The result must not depend on the masks'
+    # roundoff: every run snaps to the nearest optimal data point.
+    losses = [0.42, 0.45, 0.46, 0.53, 0.54]
+    counts = [6.0, 10.0, 8.0, 9.0, 15.0]
+    direct = weighted_quantile(WeightedValues(losses, np.array(counts) / 48.0), 0.5)
+    assert direct == 0.46
+    assert secure_quantile_for_round(losses, counts, 0.5) == direct
+    for seed in range(20):
+        assert secure_quantile_for_round(losses, counts, 0.5, aggregator=make_masked_aggregator(seed)) == direct
 
 
 def test_mm_nonconvergence_returns_best_iterate():

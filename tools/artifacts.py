@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=<path to a tailfed src/> python3 tools/artifacts.py OUT
+    python3 tools/artifacts.py --compare OLD NEW
 
 Runs ``tailfed run`` on a fixed list of small configs, ``tailfed
 gaussian-demo`` and ``tailfed validate``, all in process through whichever
@@ -10,6 +11,13 @@ gaussian-demo`` and ``tailfed validate``, all in process through whichever
 (which must not exist yet). Every path inside OUT is relative to it, so the
 outputs of two source trees can be compared with ``diff -r``: a change that
 claims the same behaviour must leave that diff empty.
+
+``--compare OLD NEW`` reads two such directories and lists the files that
+differ. For each differing JSON, JSON-lines or CSV file it checks every
+non-float value (device ids, round numbers, labels) for equality, record by
+record, and prints the largest relative difference of each float field with
+the record (round, iter or row) where it occurs. It exits 1 if the two file
+sets differ or any non-float value differs, else 0.
 
 The runs cover fedavg; deltafl at theta 1 and 0.5 with a frozen threshold
 period; masked aggregation with the secure_mm threshold protocol; point-mode
@@ -20,15 +28,12 @@ negative split_seed; and gaussian_mixture data.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
 import sys
 from pathlib import Path
-
-import tailfed
-from tailfed import gen_hetero_logistic, save_devices_jsonl
-from tailfed.cli import main
 
 BASE = {
     "algorithm": "deltafl",
@@ -78,6 +83,8 @@ def _config(name: str) -> dict:
 
 
 def _cli(*argv: str) -> str:
+    from tailfed.cli import main
+
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
@@ -87,6 +94,8 @@ def _cli(*argv: str) -> str:
 
 
 def write_artifacts(out: Path) -> None:
+    from tailfed import gen_hetero_logistic, save_devices_jsonl
+
     out.mkdir(parents=True)
     os.chdir(out)
     Path("inputs").mkdir()
@@ -101,9 +110,84 @@ def write_artifacts(out: Path) -> None:
     _cli("gaussian-demo", "--output-dir", "gaussian-demo", "--n-per-device", "2000", "--seed", "3")
 
 
+def _leaves(value, path: str = ""):
+    # (dotted path, leaf) pairs of a parsed JSON value.
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{path}.{k}" if path else str(k))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _csv_cell(cell: str):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _records(path: Path) -> list[tuple[str, dict]]:
+    """The file as (location, {field: value}) records; floats are the only inexact values."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    elif path.suffix == ".csv":
+        rows = [{k: _csv_cell(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+    elif path.suffix == ".json":
+        return [("file", dict(_leaves(json.loads(text))))]
+    else:
+        return [("file", {"text": text})]
+    out = []
+    for i, row in enumerate(rows):
+        key = next((k for k in ("round", "iter") if k in row), None)
+        out.append((f"{key} {row[key]}" if key else f"row {i}", dict(_leaves(row))))
+    return out
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print how the artifacts under NEW differ from OLD; 1 if anything but floats differs."""
+    files = [{p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()} for root in (old, new)]
+    status = 0
+    for name, side in ((files[0] - files[1], "OLD"), (files[1] - files[0], "NEW")):
+        for rel in sorted(name):
+            print(f"only in {side}: {rel}")
+            status = 1
+    for rel in sorted(files[0] & files[1]):
+        if (old / rel).read_bytes() == (new / rel).read_bytes():
+            continue
+        print(f"differs: {rel}")
+        a, b = _records(old / rel), _records(new / rel)
+        if len(a) != len(b):
+            print(f"  {len(a)} records -> {len(b)}")
+            status = 1
+        worst: dict[str, tuple[float, str, float, float]] = {}
+        for (where, ra), (_, rb) in zip(a, b):
+            for field in sorted(ra.keys() | rb.keys()):
+                x, y = ra.get(field), rb.get(field)
+                if type(x) is float and type(y) is float:
+                    rel_diff = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+                    if rel_diff > worst.get(field, (0.0,))[0]:
+                        worst[field] = (rel_diff, where, x, y)
+                elif x != y or type(x) is not type(y):
+                    print(f"  {where}: {field} {x!r} -> {y!r}")
+                    status = 1
+        for field, (rel_diff, where, x, y) in worst.items():
+            print(f"  {field}: largest relative difference {rel_diff:.3g} at {where} ({x!r} -> {y!r})")
+    return status
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        raise SystemExit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
+    import tailfed
+
     target = Path(sys.argv[1]).resolve()
     print(f"tailfed from {Path(tailfed.__file__).parent} -> {target}", file=sys.stderr)
     write_artifacts(target)
