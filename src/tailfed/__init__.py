@@ -23,7 +23,6 @@ from .federation import (
     RoundLog,
     am_meta,
     deltafl_round,
-    fedavg_round,
     local_update,
     lr_schedule,
     population_objectives,

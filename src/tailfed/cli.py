@@ -119,9 +119,11 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     for theta in thetas:
         if not isinstance(theta, (int, float)) or not (0.0 < float(theta) <= 1.0):
             raise ConfigError(f"config.thetas entries must lie in (0, 1], got {theta!r}")
+    thetas = _distinct([float(t) for t in thetas], "config.thetas")
     seeds = _need(raw, "seeds", list, "config")
     if not seeds or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("config.seeds must be a non-empty list of integers")
+    seeds = _distinct([int(s) for s in seeds], "config.seeds")
 
     data = _need(raw, "data", dict, "config")
     if "device_file" in data:
@@ -130,9 +132,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     elif "generator" in data:
         gen = data["generator"]
         if gen == "hetero_logistic":
-            for key in ("num_devices", "feature_dim", "num_classes"):
-                if not isinstance(data.get(key), int) or data[key] < 1:
-                    raise ConfigError(f"config.data.{key} must be a positive integer")
+            for key, least in (("num_devices", 1), ("feature_dim", 1), ("num_classes", 2)):
+                if not isinstance(data.get(key), int) or data[key] < least:
+                    raise ConfigError(f"config.data.{key} must be an integer >= {least}")
             nr = data.get("n_range")
             if (
                 not isinstance(nr, list)
@@ -201,8 +203,8 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         algorithm=algorithm,
         output_dir=output_dir,
-        thetas=[float(t) for t in thetas],
-        seeds=[int(s) for s in seeds],
+        thetas=thetas,
+        seeds=seeds,
         data=data,
         loss=loss,
         federation=dict(federation),
@@ -220,6 +222,15 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if fed.num_rounds < 1:
         raise ConfigError(f"config.federation.num_rounds must be >= 1, got {fed.num_rounds!r}")
     return cfg
+
+
+def _distinct(values: list, where: str) -> list:
+    # A repeated theta or seed would run twice into one runs/<theta>/<seed>/
+    # directory and count twice in summary.json.
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{where} lists {v!r} more than once")
+    return values
 
 
 def _check_loss_reads_labels(data: dict, loss: LossSpec) -> None:

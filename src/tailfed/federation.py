@@ -1,7 +1,7 @@
-"""Federated training loops: the tail-focused method, its uniform-averaging
-baseline, and an idealized alternating-minimization variant.
+"""Federated training loops: the tail-focused method, whose theta = 1 case
+is uniform averaging, and an idealized alternating-minimization variant.
 
-One communication round samples devices, optionally filters them to those
+One communication round samples devices, filters them at theta < 1 to those
 whose reported loss reaches the round threshold (the sample's
 (1-theta)-quantile), runs local SGD on the survivors, and aggregates the
 resulting parameters by a weighted average, plain or masked.
@@ -14,7 +14,7 @@ step whose suboptimality is driven below a summable tolerance sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -207,20 +207,22 @@ def _round_threshold(
     return weighted_quantile(WeightedValues(losses, sample_weights), cfg.theta)
 
 
-def _round(
+def deltafl_round(
     pop: Population,
     w: np.ndarray,
     cfg: FederationConfig,
     t: int,
-    rng: np.random.Generator | None,
-    tail: bool,
     eta_override: float | None = None,
 ) -> tuple[np.ndarray, RoundLog]:
-    # The one round body. tail=False is plain averaging: no threshold, every
-    # sampled device trains, and the log's objectives are taken at theta = 1.
-    if rng is None:
-        rng = stream(cfg.seed, 2, t)
-    idx, local_seeds, mask_seed = _prepare_round(pop, cfg, rng)
+    """One round of tail-filtered training, the only round body.
+
+    Sampled devices report losses. At theta < 1 the round threshold eta is
+    the sample's (1-theta)-quantile (or a frozen value passed by the caller),
+    and only devices at or above eta run local updates and are averaged. At
+    theta = 1 the round takes no threshold (eta is None, eta_override is
+    ignored) and every sampled device trains: federated averaging.
+    """
+    idx, local_seeds, mask_seed = _prepare_round(pop, cfg, stream(cfg.seed, 2, t))
     sample = pop.packed.select(idx)
     weights = pop.weights[idx]
     sample_weights = weights / weights.sum()
@@ -228,16 +230,18 @@ def _round(
     sampled_ids = [ids[k] for k in idx]
     losses = _finite_losses(cfg, w, sample, sampled_ids, t, "reported")
 
-    if tail:
-        theta = cfg.theta
+    if cfg.theta < 1.0:
         eta = _round_threshold(losses, sample_weights, cfg, mask_seed, eta_override)
         kept = np.flatnonzero(losses >= eta - FILTER_SLACK)
         if kept.size == 0:
-            # Degenerate threshold (can only arise from protocol noise): fall
-            # back to the single worst device so the round still makes progress.
+            # No device reaches the threshold. A fresh quantile is one of these
+            # losses, so only protocol noise empties it; a threshold frozen from
+            # an earlier round (eta_period > 1) empties it whenever every loss
+            # has since fallen below it. Train the single worst device instead,
+            # so the round still makes progress.
             kept = np.array([int(np.argmax(losses))])
     else:
-        theta, eta, kept = 1.0, None, np.arange(len(idx))
+        eta, kept = None, np.arange(len(idx))
     survivors = [idx[i] for i in kept]
 
     rngs = [np.random.default_rng(local_seeds[k]) for k in survivors]
@@ -252,40 +256,11 @@ def _round(
         sampled_ids=sampled_ids,
         eta=eta,
         filtered_ids=[ids[k] for k in survivors],
-        pre_objective=_sample_objective(losses, sample_weights, theta),
-        post_objective=_sample_objective(post_losses, sample_weights, theta),
+        pre_objective=_sample_objective(losses, sample_weights, cfg.theta),
+        post_objective=_sample_objective(post_losses, sample_weights, cfg.theta),
         update_norm=float(np.linalg.norm(w_next - w)),
     )
     return w_next, log
-
-
-def deltafl_round(
-    pop: Population,
-    w: np.ndarray,
-    cfg: FederationConfig,
-    t: int,
-    rng: np.random.Generator | None = None,
-    eta_override: float | None = None,
-) -> tuple[np.ndarray, RoundLog]:
-    """One round of tail-filtered training.
-
-    Sampled devices report losses; the round threshold eta is the sample's
-    (1-theta)-quantile (or a frozen value passed by the caller); devices at
-    or above eta run local updates and are averaged. theta = 1 keeps every
-    sampled device, reproducing the uniform-averaging baseline exactly.
-    """
-    return _round(pop, w, cfg, t, rng, tail=True, eta_override=eta_override)
-
-
-def fedavg_round(
-    pop: Population,
-    w: np.ndarray,
-    cfg: FederationConfig,
-    t: int,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, RoundLog]:
-    """One round of uniform-averaging training: no loss reports, no filter."""
-    return _round(pop, w, cfg, t, rng, tail=False)
 
 
 def run_federated(
@@ -297,14 +272,17 @@ def run_federated(
 ) -> FederatedRun:
     """Drive num_rounds rounds of the chosen algorithm from w0 (zeros by default).
 
-    The round threshold is recomputed every eta_period rounds and frozen in
-    between (the sampled set still changes each round). Snapshots of the
-    parameters are recorded every eval_every rounds when requested. A round
-    whose reported or post-round losses are non-finite raises
-    FloatingPointError naming the round and the first such device.
+    fedavg is the theta = 1 round, so it runs with cfg.theta replaced by 1.
+    At theta < 1 the round threshold is recomputed every eta_period rounds
+    and frozen in between (the sampled set still changes each round).
+    Snapshots of the parameters are recorded every eval_every rounds when
+    requested. A round whose reported or post-round losses are non-finite
+    raises FloatingPointError naming the round and the first such device.
     """
     if algorithm not in ("deltafl", "fedavg"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "fedavg":
+        cfg = replace(cfg, theta=1.0)
     w = (
         np.array(w0, dtype=np.float64)
         if w0 is not None
@@ -314,12 +292,8 @@ def run_federated(
     snapshots: list[EvalSnapshot] = []
     frozen_eta: float | None = None
     for t in range(cfg.num_rounds):
-        if algorithm == "fedavg":
-            w, log = fedavg_round(pop, w, cfg, t)
-        else:
-            refresh = (t % cfg.eta_period == 0) or frozen_eta is None
-            w, log = deltafl_round(pop, w, cfg, t, eta_override=None if refresh else frozen_eta)
-            frozen_eta = log.eta
+        w, log = deltafl_round(pop, w, cfg, t, eta_override=frozen_eta if t % cfg.eta_period else None)
+        frozen_eta = log.eta
         logs.append(log)
         if eval_every > 0 and (t + 1) % eval_every == 0:
             snapshots.append(EvalSnapshot(round_index=t, params=w.copy()))

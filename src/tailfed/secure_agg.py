@@ -278,8 +278,9 @@ def secure_quantile_for_round(
 ) -> float:
     """(1-theta)-quantile of reported losses via the aggregated MM protocol.
 
-    theta = 1 short-circuits to the minimum loss so that every reporting
-    device passes the subsequent filter.
+    theta = 1 short-circuits to the minimum loss, the 0-quantile, which every
+    reported loss reaches; training rounds at theta = 1 take no threshold and
+    do not call this.
     """
     losses = np.asarray(losses, dtype=np.float64)
     if float(theta) == 1.0:

@@ -231,6 +231,45 @@ def test_bad_seed_override_is_a_config_error(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "over, flags, field",
+    [
+        ({"thetas": [0.5, 0.5], "seeds": [0, 0]}, [], "config.thetas"),
+        ({"thetas": [1, 0.5, 1.0]}, [], "config.thetas"),
+        ({"seeds": [0, 1, 0]}, [], "config.seeds"),
+        ({}, ["--thetas", "0.5,0.50"], "config.thetas"),
+        ({}, ["--seeds", "3,1,3"], "config.seeds"),
+    ],
+    ids=["thetas-and-seeds", "int-and-float-theta", "seeds", "thetas-flag", "seeds-flag"],
+)
+def test_repeated_thetas_or_seeds_are_config_errors(tmp_path, capsys, over, flags, field):
+    # each (theta, seed) cell owns one runs/<theta>/<seed>/ directory and one summary entry
+    path = write_config(tmp_path, tiny_config(tmp_path / "out", **over))
+    runs = [["run", "--config", path, *flags]]
+    if not flags:
+        runs.append(["validate", "--config", path])
+    for argv in runs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_deltafl_at_theta_one_writes_the_fedavg_artifacts(tmp_path):
+    # theta = 1 takes no threshold, so a threshold period changes nothing
+    fed = {**tiny_config(tmp_path)["federation"], "num_rounds": 6, "devices_per_round": 6, "eta_period": 3}
+    data = {**tiny_config(tmp_path)["data"], "num_devices": 8}
+    cells = []
+    for algorithm in ("deltafl", "fedavg"):
+        out = tmp_path / algorithm
+        cfg = tiny_config(out, algorithm=algorithm, thetas=[1.0], federation=fed, data=data, eval_every=2)
+        assert main(["run", "--config", write_config(tmp_path, cfg, f"{algorithm}.json")]) == 0
+        cells.append(out / "runs" / "1.0" / "0")
+    for name in ("rounds.jsonl", "metrics.csv"):
+        assert (cells[0] / name).read_bytes() == (cells[1] / name).read_bytes()
+    assert all(log["eta"] is None for log in read_rounds(cells[0]))
+
+
 def test_eval_every_controls_snapshot_rows(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_config(out, thetas=[1.0], eval_every=1)
@@ -300,11 +339,17 @@ GAUSSIAN_DATA = {"generator": "gaussian_mixture", "means": [[0.0, 0.0], [3.0, 0.
         (3, False, {"kind": "multinomial_logistic", "num_classes": 2}, "config.loss.num_classes"),
         (3, False, {"kind": "binary_logistic"}, "config.loss.kind"),
         (2, True, {"kind": "binary_logistic"}, "config.loss.kind"),
+        (1, False, {"kind": "multinomial_logistic", "num_classes": 2}, "config.data.num_classes"),
+        (1, False, {"kind": "squared_distance"}, "config.data.num_classes"),
     ],
-    ids=["multinomial-on-pm1", "too-few-classes", "binary-on-3-classes", "binary-on-gaussian"],
+    ids=[
+        "multinomial-on-pm1", "too-few-classes", "binary-on-3-classes", "binary-on-gaussian",
+        "one-class-multinomial", "one-class-squared",
+    ],
 )
 def test_validate_rejects_loss_that_cannot_read_the_labels(tmp_path, capsys, data_classes, gaussian, loss, field):
-    # hetero_logistic labels are -1/+1 at 2 classes and 0..C-1 above; gaussian_mixture labels are 0
+    # hetero_logistic labels are -1/+1 at 2 classes and 0..C-1 above, and it
+    # cannot generate 1 class; gaussian_mixture labels are 0
     cfg = tiny_config(tmp_path / "out", loss=loss)
     cfg["data"]["num_classes"] = data_classes
     if gaussian:

@@ -13,7 +13,6 @@ from tailfed import (
     WeightedValues,
     am_meta,
     deltafl_round,
-    fedavg_round,
     gen_hetero_logistic,
     lr_schedule,
     plus_objective,
@@ -165,20 +164,27 @@ def test_round_log_objectives_are_sample_superquantiles():
 def test_fedavg_keeps_every_sampled_device():
     pop = small_population()
     cfg = base_config(theta=1.0)
-    _, log = fedavg_round(pop, np.zeros(3), cfg, t=0)
+    w_next, log = deltafl_round(pop, np.zeros(3), cfg, t=0)
     assert log.filtered_ids == log.sampled_ids
     assert log.eta is None
+    # theta = 1 takes no threshold, so a frozen one passed in changes nothing
+    w_frozen, frozen = deltafl_round(pop, np.zeros(3), cfg, t=0, eta_override=1e9)
+    assert np.array_equal(w_frozen, w_next)
+    assert frozen.to_dict() == log.to_dict()
 
 
-def test_theta_one_reduction_is_path_identical():
+@pytest.mark.parametrize("eta_period", [1, 3])
+def test_theta_one_reduction_is_path_identical(eta_period):
     pop = small_population()
-    cfg = base_config(theta=1.0, num_rounds=10)
-    a = run_federated(pop, cfg, algorithm="deltafl")
-    b = run_federated(pop, cfg, algorithm="fedavg")
+    a = run_federated(pop, base_config(theta=1.0, num_rounds=10, eta_period=eta_period), algorithm="deltafl")
+    # fedavg is the theta = 1 round whatever theta its config carries
+    b = run_federated(pop, base_config(theta=0.4, num_rounds=10, eta_period=eta_period), algorithm="fedavg")
     assert np.array_equal(a.params, b.params)
+    assert len(a.rounds) == len(b.rounds) == 10
     for la, lb in zip(a.rounds, b.rounds):
         assert la.sampled_ids == lb.sampled_ids
         assert la.filtered_ids == lb.filtered_ids
+        assert la.to_dict() == lb.to_dict()
 
 
 def test_sampling_is_seed_deterministic_and_round_dependent():
