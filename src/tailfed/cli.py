@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -120,6 +121,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         if not isinstance(theta, (int, float)) or not (0.0 < float(theta) <= 1.0):
             raise ConfigError(f"config.thetas entries must lie in (0, 1], got {theta!r}")
     thetas = _distinct([float(t) for t in thetas], "config.thetas")
+    # Every fedavg cell runs at theta 1, so another theta would train the same cell again.
+    if algorithm == "fedavg" and thetas != [1.0]:
+        raise ConfigError(f"config.thetas must be [1.0] for fedavg, got {thetas!r}")
     seeds = _need(raw, "seeds", list, "config")
     if not seeds or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("config.seeds must be a non-empty list of integers")
@@ -383,9 +387,16 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             aggregated[key] = {"mean": float(vals.mean()), "std": std}
         summary["runs"][str(theta)] = {"label": _label(cfg, theta), "final": aggregated}
     out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    # Written beside its target and moved into place, so a write that dies
+    # leaves the previous summary (or none), never a truncated one.
+    tmp = out_root / "summary.json.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, out_root / "summary.json")
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"wrote {out_root / 'summary.json'}")
     return 0
 
@@ -464,7 +475,10 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         if val is not None:
             raw[key] = val
     if getattr(overrides, "thetas", None):
-        raw["thetas"] = [float(v) for v in overrides.thetas.split(",")]
+        try:
+            raw["thetas"] = [float(v) for v in overrides.thetas.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--thetas must be a comma-separated number list: {exc}") from exc
     if getattr(overrides, "seeds", None):
         try:
             raw["seeds"] = [int(v) for v in overrides.seeds.split(",")]

@@ -130,16 +130,22 @@ def lr_schedule(cfg: FederationConfig, t: int) -> float:
     return cfg.lr0 * cfg.lr_decay ** (t // cfg.lr_decay_every)
 
 
-def _local_sgd(
-    cfg: FederationConfig, w: np.ndarray, packed: PackedShards, rngs: list[np.random.Generator], lr: float
-) -> np.ndarray:
-    # Epoch mode: one shuffled pass in mini-batches. Point mode: n_local
-    # single-example steps drawn with replacement. Device k draws from rngs[k].
-    if cfg.local_epoch:
-        orders = [rng.permutation(n) for n, rng in zip(packed.sizes, rngs)]
-        return models.packed_local_sgd(cfg.loss, w, packed, orders, lr, cfg.batch_size)
-    orders = [rng.integers(n, size=cfg.n_local) for n, rng in zip(packed.sizes, rngs)]
-    return models.packed_local_sgd(cfg.loss, w, packed, orders, lr, 1)
+def _visiting_orders(cfg: FederationConfig, sizes: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    # Every device's visiting order (row indices local to the device) in one
+    # draw on rng. Point mode draws n_local rows per device with replacement.
+    # Epoch mode sorts one uniform key per row within its device: keys lie in
+    # [0, 1), so device + key keeps devices apart, and a stable sort breaks a
+    # rounding tie by row.
+    if not cfg.local_epoch:
+        return list(rng.integers(np.repeat(sizes, cfg.n_local)).reshape(-1, cfg.n_local))
+    starts = np.cumsum(sizes) - sizes
+    device = np.repeat(np.arange(sizes.size), sizes)
+    order = np.argsort(device + rng.random(device.size), kind="stable")
+    return np.split(order - starts[device], starts[1:])
+
+
+def _local_sgd(cfg: FederationConfig, w: np.ndarray, packed: PackedShards, orders: list, lr: float) -> np.ndarray:
+    return models.packed_local_sgd(cfg.loss, w, packed, orders, lr, cfg.batch_size if cfg.local_epoch else 1)
 
 
 def local_update(
@@ -153,24 +159,11 @@ def local_update(
 
     Epoch mode shuffles the shard once and walks it in mini-batches; point
     mode performs n_local single-example steps sampled with replacement.
-    This is the one-device case of the batched kernel a round trains with.
+    This is the one-device case of a round's local training: the order is
+    drawn from rng as a round draws from its stream, with the same kernel.
     """
-    return _local_sgd(cfg, w, PackedShards.from_shards([shard]), [rng], lr)[0]
-
-
-def _sample_devices(pop: Population, cfg: FederationConfig, rng: np.random.Generator) -> list[int]:
-    # Uniform sampling with replacement; duplicates collapse to one slot.
-    draws = rng.integers(0, len(pop), size=cfg.devices_per_round)
-    return sorted({int(i) for i in draws})
-
-
-def _prepare_round(
-    pop: Population, cfg: FederationConfig, rng: np.random.Generator
-) -> tuple[list[int], dict[int, int], int | None]:
-    idx = _sample_devices(pop, cfg, rng)
-    local_seeds = dict(zip(idx, rng.integers(1 << 62, size=len(idx)).tolist()))
-    mask_seed = int(rng.integers(1 << 62)) if cfg.aggregation == "masked" else None
-    return idx, local_seeds, mask_seed
+    packed = PackedShards.from_shards([shard])
+    return _local_sgd(cfg, w, packed, _visiting_orders(cfg, packed.sizes, rng), lr)[0]
 
 
 def _finite_losses(
@@ -220,10 +213,18 @@ def deltafl_round(
     the sample's (1-theta)-quantile (or a frozen value passed by the caller),
     and only devices at or above eta run local updates and are averaged. At
     theta = 1 the round takes no threshold (eta is None, eta_override is
-    ignored) and every sampled device trains: federated averaging.
+    ignored) and every sampled device trains: federated averaging. The round
+    stream stream(cfg.seed, 2, t) draws the sample, then every sampled
+    device's visiting order, then the mask seed.
     """
-    idx, local_seeds, mask_seed = _prepare_round(pop, cfg, stream(cfg.seed, 2, t))
+    rng = stream(cfg.seed, 2, t)
+    # Uniform sampling with replacement; duplicates collapse to one slot.
+    idx = sorted({int(i) for i in rng.integers(0, len(pop), size=cfg.devices_per_round)})
     sample = pop.packed.select(idx)
+    # Orders come before filtering, so a survivor's order does not depend on who
+    # else survived, and before the mask seed, so plain and masked rounds agree.
+    orders = _visiting_orders(cfg, sample.sizes, rng)
+    mask_seed = int(rng.integers(1 << 62)) if cfg.aggregation == "masked" else None
     weights = pop.weights[idx]
     sample_weights = weights / weights.sum()
     ids = pop.device_ids
@@ -242,10 +243,8 @@ def deltafl_round(
             kept = np.array([int(np.argmax(losses))])
     else:
         eta, kept = None, np.arange(len(idx))
-    survivors = [idx[i] for i in kept]
 
-    rngs = [np.random.default_rng(local_seeds[k]) for k in survivors]
-    trained = _local_sgd(cfg, w, sample.select(kept), rngs, lr_schedule(cfg, t))
+    trained = _local_sgd(cfg, w, sample.select(kept), [orders[i] for i in kept], lr_schedule(cfg, t))
     contributions = list(zip(trained, weights[kept]))
     masked = cfg.aggregation == "masked"
     w_next = masked_weighted_sum(contributions, mask_seed)[0] if masked else plain_weighted_sum(contributions)
@@ -255,7 +254,7 @@ def deltafl_round(
         round_index=t,
         sampled_ids=sampled_ids,
         eta=eta,
-        filtered_ids=[ids[k] for k in survivors],
+        filtered_ids=[sampled_ids[i] for i in kept],
         pre_objective=_sample_objective(losses, sample_weights, cfg.theta),
         post_objective=_sample_objective(post_losses, sample_weights, cfg.theta),
         update_norm=float(np.linalg.norm(w_next - w)),

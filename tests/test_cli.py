@@ -231,6 +231,54 @@ def test_bad_seed_override_is_a_config_error(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_bad_theta_override_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    assert main(["run", "--config", path, "--thetas", "0.5,x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--thetas" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "over, flags",
+    [
+        ({"algorithm": "fedavg"}, []),
+        ({"algorithm": "fedavg", "thetas": [0.5]}, []),
+        ({"algorithm": "fedavg", "thetas": [1.0]}, ["--thetas", "1.0,0.5"]),
+        ({}, ["--algorithm", "fedavg"]),
+    ],
+    ids=["config", "config-single-theta", "thetas-flag", "algorithm-flag"],
+)
+def test_fedavg_with_thetas_other_than_one_is_a_config_error(tmp_path, capsys, over, flags):
+    # every fedavg cell runs at theta 1, so a second theta would train the same cell twice
+    path = write_config(tmp_path, tiny_config(tmp_path / "out", **over))
+    runs = [["run", "--config", path, *flags]]
+    if not flags:
+        runs.append(["validate", "--config", path])
+    for argv in runs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "config.thetas" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_summary_write_keeps_the_previous_summary(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(out))
+    assert main(["run", "--config", path]) == 0
+    before = (out / "summary.json").read_bytes()
+
+    def dies_midway(obj, fh, **kwargs):
+        fh.write('{"algorithm": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dies_midway)
+    assert main(["run", "--config", path, "--seeds", "5"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert (out / "summary.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["runs", "summary.json"]
+
+
 @pytest.mark.parametrize(
     "over, flags, field",
     [

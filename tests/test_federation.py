@@ -139,6 +139,27 @@ def test_deltafl_empty_filter_falls_back_to_worst_device():
     assert log.filtered_ids == [worst]
 
 
+@pytest.mark.parametrize("local_epoch", [True, False])
+def test_survivor_order_does_not_depend_on_who_else_survived(monkeypatch, local_epoch):
+    pop = small_population()
+    cfg = base_config(theta=0.5, local_epoch=local_epoch, n_local=4, batch_size=3)
+    w = np.full(3, 0.2)
+    captured = []
+    kernel = models.packed_local_sgd
+
+    def capture(spec, w, packed, orders, lr, batch_size):
+        captured.append([np.array(o) for o in orders])
+        return kernel(spec, w, packed, orders, lr, batch_size)
+
+    monkeypatch.setattr(models, "packed_local_sgd", capture)
+    _, fresh = deltafl_round(pop, w, cfg, t=4)
+    _, everyone = deltafl_round(pop, w, cfg, t=4, eta_override=0.0)  # every loss is positive
+    assert set(fresh.filtered_ids) < set(everyone.filtered_ids) == set(everyone.sampled_ids)
+    few, all_orders = (dict(zip(log.filtered_ids, o)) for log, o in zip((fresh, everyone), captured))
+    for device, order in few.items():
+        assert np.array_equal(order, all_orders[device])
+
+
 def test_round_log_objectives_are_sample_superquantiles():
     pop = small_population()
     cfg = base_config(theta=0.5)

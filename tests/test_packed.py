@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailfed import DeviceShard, FederationConfig, LossSpec, Population, models
-from tailfed.data import PackedShards
+from tailfed import DeviceShard, FederationConfig, LossSpec, Population, deltafl_round, lr_schedule, models
+from tailfed.data import PackedShards, stream
 from tailfed.federation import local_update
 
 from oracles import device_error_naive, device_loss_naive
@@ -113,30 +113,23 @@ def test_packed_local_sgd_matches_per_device_loop(case, batch_size, epoch, lr):
         assert_close(got[k], sgd_reference(spec, w, shard, orders[k], lr, batch_size))
 
 
-def old_local_update(shard, w, lr, cfg, rng):
-    """The per-device loop local_update ran before rounds trained in one batched call."""
-    w = np.array(w, dtype=np.float64)
-    n = len(shard)
-    if cfg.local_epoch:
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            w -= lr * models.batch_grad(cfg.loss, w, shard.features[idx], shard.labels[idx])
-    else:
-        for _ in range(cfg.n_local):
-            i = int(rng.integers(n))
-            w -= lr * models.batch_grad(cfg.loss, w, shard.features[i : i + 1], shard.labels[i : i + 1])
-    return w
-
-
 @SETTINGS
-@given(populations(), st.integers(1, 15), st.booleans(), st.integers(1, 5), st.integers(0, 2**62))
-def test_local_update_matches_the_old_per_device_loop(case, batch_size, epoch, n_local, seed):
+@given(
+    populations(), st.integers(1, 15), st.booleans(), st.integers(1, 5), st.integers(0, 2**62), st.integers(0, 9)
+)
+def test_local_update_matches_the_round_path(case, batch_size, epoch, n_local, seed, t):
+    # On a one-device population at theta 1 the round trains that device
+    # alone, with the order it draws from the round stream after sampling.
     spec, pop, w, _ = case
-    cfg = FederationConfig(loss=spec, batch_size=batch_size, local_epoch=epoch, n_local=n_local)
+    cfg = FederationConfig(
+        loss=spec, batch_size=batch_size, local_epoch=epoch, n_local=n_local, seed=seed, devices_per_round=3
+    )
     for shard in pop.shards:
-        got = local_update(shard, w, 0.3, cfg, np.random.default_rng(seed))
-        assert_close(got, old_local_update(shard, w, 0.3, cfg, np.random.default_rng(seed)))
+        one = Population([DeviceShard(shard.device_id, shard.features, shard.labels)])
+        got, _ = deltafl_round(one, w, cfg, t)
+        rng = stream(seed, 2, t)
+        rng.integers(0, 1, size=cfg.devices_per_round)
+        assert_close(got, local_update(shard, w, lr_schedule(cfg, t), cfg, rng))
 
 
 @SETTINGS
