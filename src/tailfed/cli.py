@@ -349,10 +349,15 @@ def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) ->
         final["grad_norm"] = result.iterates[-1].grad_norm
         return final
 
-    run = run_federated(train, fed, algorithm=cfg.algorithm, eval_every=cfg.eval_every)
+    # Each round's line is written as the round ends, so a run that dies
+    # keeps the rounds it finished.
     with open(cell_dir / "rounds.jsonl", "w", encoding="utf-8") as fh:
-        for log in run.rounds:
+
+        def write_round(log) -> None:
             fh.write(json.dumps(log.to_dict()) + "\n")
+            fh.flush()
+
+        run = run_federated(train, fed, algorithm=cfg.algorithm, eval_every=cfg.eval_every, on_round=write_round)
     rows = _snapshot_rows(cfg, run, train, test)
     metrics_mod.summary_export(rows, cell_dir / "metrics.csv")
     return _final_metrics(cfg, run.params, train, test)
@@ -462,6 +467,19 @@ def cmd_gaussian_demo(output_dir: str, means=None, n_per_device: int = 10_000, s
     return 0
 
 
+def _demo_means(text: str) -> np.ndarray:
+    try:
+        means = np.asarray(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--means is not valid JSON: {exc}") from exc
+    except ValueError:  # ragged lists
+        means = np.zeros(0)
+    # JSON strings stay strings here ("0" is not read as 0), so only numbers pass.
+    if means.shape != (3, 2) or means.dtype.kind not in "iuf" or not np.isfinite(means).all():
+        raise ConfigError(f"--means must be three [x, y] pairs of finite numbers, got {text}")
+    return means.astype(np.float64)
+
+
 def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -474,12 +492,13 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         val = getattr(overrides, key, None)
         if val is not None:
             raw[key] = val
-    if getattr(overrides, "thetas", None):
+    # An empty flag is an error too, not a flag left out.
+    if getattr(overrides, "thetas", None) is not None:
         try:
             raw["thetas"] = [float(v) for v in overrides.thetas.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--thetas must be a comma-separated number list: {exc}") from exc
-    if getattr(overrides, "seeds", None):
+    if getattr(overrides, "seeds", None) is not None:
         try:
             raw["seeds"] = [int(v) for v in overrides.seeds.split(",")]
         except ValueError as exc:
@@ -522,12 +541,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _load_config(args.config, args)
             return cmd_run(cfg)
-        means = None
-        if args.means:
-            try:
-                means = json.loads(args.means)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--means is not valid JSON: {exc}") from exc
+        if args.n_per_device < 1:
+            raise ConfigError(f"--n-per-device must be >= 1, got {args.n_per_device}")
+        means = None if args.means is None else _demo_means(args.means)
         return cmd_gaussian_demo(args.output_dir, means, args.n_per_device, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -130,22 +131,22 @@ def lr_schedule(cfg: FederationConfig, t: int) -> float:
     return cfg.lr0 * cfg.lr_decay ** (t // cfg.lr_decay_every)
 
 
-def _visiting_orders(cfg: FederationConfig, sizes: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    # Every device's visiting order (row indices local to the device) in one
-    # draw on rng. Point mode draws n_local rows per device with replacement.
-    # Epoch mode sorts one uniform key per row within its device: keys lie in
-    # [0, 1), so device + key keeps devices apart, and a stable sort breaks a
-    # rounding tie by row.
+def _visiting_orders(cfg: FederationConfig, packed: PackedShards, rng: np.random.Generator) -> tuple:
+    # Every device's visiting order in one draw on rng: one flat array of
+    # packed rows grouped by device, and each device's visit count. Point mode
+    # draws n_local rows per device with replacement. Epoch mode sorts one
+    # uniform key per row within its device: keys lie in [0, 1), so device +
+    # key keeps devices apart, and a stable sort breaks a rounding tie by row.
+    n, sizes = cfg.n_local, packed.sizes
     if not cfg.local_epoch:
-        return list(rng.integers(np.repeat(sizes, cfg.n_local)).reshape(-1, cfg.n_local))
-    starts = np.cumsum(sizes) - sizes
+        return np.repeat(packed.offsets, n) + rng.integers(np.repeat(sizes, n)), np.full(sizes.size, n)
     device = np.repeat(np.arange(sizes.size), sizes)
-    order = np.argsort(device + rng.random(device.size), kind="stable")
-    return np.split(order - starts[device], starts[1:])
+    return np.argsort(device + rng.random(device.size), kind="stable"), sizes
 
 
-def _local_sgd(cfg: FederationConfig, w: np.ndarray, packed: PackedShards, orders: list, lr: float) -> np.ndarray:
-    return models.packed_local_sgd(cfg.loss, w, packed, orders, lr, cfg.batch_size if cfg.local_epoch else 1)
+def _local_sgd(cfg: FederationConfig, w: np.ndarray, packed: PackedShards, order, counts, lr: float) -> np.ndarray:
+    batch_size = cfg.batch_size if cfg.local_epoch else 1
+    return models.packed_local_sgd(cfg.loss, w, packed, order, counts, lr, batch_size)
 
 
 def local_update(
@@ -163,7 +164,7 @@ def local_update(
     drawn from rng as a round draws from its stream, with the same kernel.
     """
     packed = PackedShards.from_shards([shard])
-    return _local_sgd(cfg, w, packed, _visiting_orders(cfg, packed.sizes, rng), lr)[0]
+    return _local_sgd(cfg, w, packed, *_visiting_orders(cfg, packed, rng), lr)[0]
 
 
 def _finite_losses(
@@ -223,7 +224,7 @@ def deltafl_round(
     sample = pop.packed.select(idx)
     # Orders come before filtering, so a survivor's order does not depend on who
     # else survived, and before the mask seed, so plain and masked rounds agree.
-    orders = _visiting_orders(cfg, sample.sizes, rng)
+    order, counts = _visiting_orders(cfg, sample, rng)
     mask_seed = int(rng.integers(1 << 62)) if cfg.aggregation == "masked" else None
     weights = pop.weights[idx]
     sample_weights = weights / weights.sum()
@@ -233,19 +234,22 @@ def deltafl_round(
 
     if cfg.theta < 1.0:
         eta = _round_threshold(losses, sample_weights, cfg, mask_seed, eta_override)
-        kept = np.flatnonzero(losses >= eta - FILTER_SLACK)
-        if kept.size == 0:
+        keep = losses >= eta - FILTER_SLACK
+        if not keep.any():
             # No device reaches the threshold. A fresh quantile is one of these
             # losses, so only protocol noise empties it; a threshold frozen from
             # an earlier round (eta_period > 1) empties it whenever every loss
             # has since fallen below it. Train the single worst device instead,
             # so the round still makes progress.
-            kept = np.array([int(np.argmax(losses))])
+            keep[np.argmax(losses)] = True
     else:
-        eta, kept = None, np.arange(len(idx))
+        eta, keep = None, np.ones(len(idx), dtype=bool)
 
-    trained = _local_sgd(cfg, w, sample.select(kept), [orders[i] for i in kept], lr_schedule(cfg, t))
-    contributions = list(zip(trained, weights[kept]))
+    # The sample trains as drawn, but a dropped device has no visits: it takes
+    # no step, and its row stays out of the aggregate.
+    visits = np.repeat(keep, counts)
+    trained = _local_sgd(cfg, w, sample, order[visits], counts * keep, lr_schedule(cfg, t))[keep]
+    contributions = list(zip(trained, weights[keep]))
     masked = cfg.aggregation == "masked"
     w_next = masked_weighted_sum(contributions, mask_seed)[0] if masked else plain_weighted_sum(contributions)
 
@@ -254,7 +258,7 @@ def deltafl_round(
         round_index=t,
         sampled_ids=sampled_ids,
         eta=eta,
-        filtered_ids=[sampled_ids[i] for i in kept],
+        filtered_ids=list(compress(sampled_ids, keep)),
         pre_objective=_sample_objective(losses, sample_weights, cfg.theta),
         post_objective=_sample_objective(post_losses, sample_weights, cfg.theta),
         update_norm=float(np.linalg.norm(w_next - w)),
@@ -268,6 +272,7 @@ def run_federated(
     algorithm: str = "deltafl",
     eval_every: int = 0,
     w0: np.ndarray | None = None,
+    on_round: Callable[[RoundLog], None] | None = None,
 ) -> FederatedRun:
     """Drive num_rounds rounds of the chosen algorithm from w0 (zeros by default).
 
@@ -275,8 +280,9 @@ def run_federated(
     At theta < 1 the round threshold is recomputed every eta_period rounds
     and frozen in between (the sampled set still changes each round).
     Snapshots of the parameters are recorded every eval_every rounds when
-    requested. A round whose reported or post-round losses are non-finite
-    raises FloatingPointError naming the round and the first such device.
+    requested; on_round, if given, gets each round's log as the round ends.
+    A round whose reported or post-round losses are non-finite raises
+    FloatingPointError naming the round and the first such device.
     """
     if algorithm not in ("deltafl", "fedavg"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -294,6 +300,8 @@ def run_federated(
         w, log = deltafl_round(pop, w, cfg, t, eta_override=frozen_eta if t % cfg.eta_period else None)
         frozen_eta = log.eta
         logs.append(log)
+        if on_round is not None:
+            on_round(log)
         if eval_every > 0 and (t + 1) % eval_every == 0:
             snapshots.append(EvalSnapshot(round_index=t, params=w.copy()))
     return FederatedRun(params=w, rounds=logs, snapshots=snapshots)

@@ -80,10 +80,7 @@ def batch_losses(spec: LossSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) ->
         return _softplus(-margins) + reg
     W = w.reshape(spec.num_classes, X.shape[1])
     logp = _log_softmax(X @ W.T)
-    idx = np.asarray(y, dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx >= spec.num_classes):
-        raise ValueError("class labels must lie in [0, num_classes)")
-    return -logp[np.arange(X.shape[0]), idx] + reg
+    return -logp[np.arange(X.shape[0]), _labels_for(spec, y)] + reg
 
 
 def batch_grad(spec: LossSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -219,42 +216,44 @@ def packed_weighted_grad(spec: LossSpec, w: np.ndarray, packed, coeff) -> np.nda
 
 
 def packed_local_sgd(
-    spec: LossSpec, w: np.ndarray, packed, orders, lr: float, batch_size: int
+    spec: LossSpec, w: np.ndarray, packed, order, counts, lr: float, batch_size: int
 ) -> np.ndarray:
     """Mini-batch SGD on every device of a packed view at once, all starting from w.
 
-    Device k walks ``orders[k]`` (row indices local to the device) in
+    ``order`` holds the packed rows to visit, grouped by device in device
+    order, ``counts[k]`` of them device k's. Device k walks its rows in
     consecutive batches of batch_size and takes one step of size lr on each
-    batch's mean loss; a partial last batch averages over its rows. Devices
-    run in lockstep: batches are padded to batch_size and step counts to the
-    longest device's, and padded rows and steps are masked, so a device stops
-    once its own rows are spent. Returns the (K, d) final parameters, one row
-    per device in device order.
+    batch's mean loss; a partial last batch averages over its rows, and a
+    device with no visits returns w. Devices run in lockstep: batches are
+    padded to batch_size and step counts to the longest device's, and padded
+    rows and steps are masked, so a device stops once its own rows are spent.
+    Returns the (K, d) final parameters, one row per device in device order.
     """
     X = packed.features
     w = _check_params(spec, w, X.shape[1])
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if len(orders) != len(packed):
-        raise ValueError(f"need one visiting order per device ({len(packed)}), got {len(orders)}")
-    lengths = np.array([len(o) for o in orders], dtype=np.int64)
-    steps = -(-lengths // batch_size)
+    order = np.asarray(order, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != (len(packed),):
+        raise ValueError(f"need one visit count per device ({len(packed)}), got shape {counts.shape}")
+    if order.ndim != 1 or np.any(counts < 0) or counts.sum() != order.size:
+        raise ValueError(f"visit counts must be nonnegative and sum to the flat order's length ({order.size})")
+    steps = -(-counts // batch_size)
+    k, num_steps = counts.size, int(steps.max(initial=0))
+    dev = np.repeat(np.arange(k), counts)
+    first = packed.offsets[dev]
+    if np.any(order < first) or np.any(order >= first + packed.sizes[dev]):
+        raise ValueError("visiting orders must index rows of their own device")
     # Longest walks first, so the devices still walking at step s are a prefix.
     by_steps = np.argsort(-steps, kind="stable")
-    lengths = lengths[by_steps]
-    k, num_steps = lengths.size, int(steps.max(initial=0))
-    local = np.concatenate(
-        [np.zeros(0, np.int64)] + [np.asarray(orders[i], dtype=np.int64) for i in by_steps]
-    )
-    if np.any(local < 0) or np.any(local >= np.repeat(packed.sizes[by_steps], lengths)):
-        raise ValueError("visiting orders must index rows of their own device")
-    # Slot (device, step, b) of the padded visit table holds a global row
-    # index and that row's weight in its batch mean; padding weighs 0.
-    dev = np.repeat(np.arange(k), lengths)
-    within = np.arange(local.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    slot = dev * (num_steps * batch_size) + within
+    rank = np.argsort(by_steps)  # each device's position in by_steps
+    # Slot (rank, step, b) of the padded visit table holds a packed row index
+    # and that row's weight in its batch mean; padding weighs 0.
+    within = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = rank[dev] * (num_steps * batch_size) + within
     rows = np.zeros((k, num_steps, batch_size), dtype=np.int64)
-    rows.reshape(-1)[slot] = packed.offsets[by_steps][dev] + local
+    rows.reshape(-1)[slot] = order
     coeff = np.zeros((k, num_steps, batch_size))
     coeff.reshape(-1)[slot] = 1.0
     coeff /= np.maximum(coeff.sum(axis=2, keepdims=True), 1.0)

@@ -32,37 +32,30 @@ DEFAULT_MASK_SCALE = 1e3
 
 
 @dataclass
-class TranscriptMessage:
-    sender: str
-    receiver: str
-    kind: str
-    payload: np.ndarray
-
-
-@dataclass
 class AggregationTranscript:
-    mode: str
-    messages: list[TranscriptMessage] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
+    """The (n, dim+1) payloads the server summed, one row per client, and any flags."""
 
-    def server_visible(self) -> list[np.ndarray]:
-        return [m.payload for m in self.messages if m.receiver == "server"]
+    payloads: np.ndarray
+    flags: list[str] = field(default_factory=list)
 
 
 def _check_contributions(contributions: Sequence[Contribution]) -> tuple[np.ndarray, np.ndarray]:
     """The contributions as one (n, dim) matrix and one (n,) weight vector."""
     if len(contributions) == 0:
         raise ValueError("aggregation needs at least one contribution")
-    vectors = [np.atleast_1d(np.asarray(v, dtype=np.float64)) for v, _ in contributions]
-    if any(v.ndim != 1 for v in vectors):
+    try:
+        vectors = np.array([v for v, _ in contributions], dtype=np.float64)
+    except ValueError as exc:
+        if len({np.shape(v) for v, _ in contributions}) > 1:
+            raise ValueError("contributions must share one dimension") from exc
+        raise
+    if vectors.ndim != 2:
         raise ValueError("contributions must be vectors")
-    if len({v.size for v in vectors}) != 1:
-        raise ValueError("contributions must share one dimension")
-    weights = np.array([float(w) for _, w in contributions])
+    weights = np.array([w for _, w in contributions], dtype=np.float64)
     bad = ~(weights > 0.0)
     if bad.any():
         raise ValueError(f"contribution weights must be positive, got {float(weights[bad][0])!r}")
-    return np.array(vectors), weights
+    return vectors, weights
 
 
 def plain_weighted_sum(contributions: Sequence[Contribution]) -> np.ndarray:
@@ -93,34 +86,31 @@ def masked_weighted_sum(
     n, dim = vectors.shape
     payloads = np.column_stack([weights[:, None] * vectors, weights])
     if n == 1:
-        message = TranscriptMessage("client000", "server", "plain_update", payloads[0])
-        return vectors[0].copy(), AggregationTranscript("masked", [message], ["single_contributor_unmasked"])
+        return vectors[0].copy(), AggregationTranscript(payloads, ["single_contributor_unmasked"])
     rng = stream(pairwise_seed)
     for i in range(n - 1):
         # Client i's masks for every j > i, one row each.
         masks = rng.normal(0.0, mask_scale, size=(n - i - 1, dim + 1))
         payloads[i] += masks.sum(axis=0)
         payloads[i + 1 :] -= masks
-    sent = [TranscriptMessage(f"client{i:03d}", "server", "masked_update", p) for i, p in enumerate(payloads)]
     total = payloads.sum(axis=0)
-    return total[:dim] / total[dim], AggregationTranscript("masked", sent)
+    return total[:dim] / total[dim], AggregationTranscript(payloads)
 
 
 def audit_transcript(
     transcript: AggregationTranscript, contributions: Sequence[Contribution]
 ) -> dict:
-    """Compare server-visible payloads against raw contributions.
+    """Compare the payloads the server received against raw contributions.
 
     Returns the smallest relative distance between any payload and any raw
     contribution (both the bare vector and its weighted form are checked).
-    In masked mode a healthy transcript keeps this far above 1e-9.
+    A healthy unflagged transcript keeps this far above 1e-9.
     """
     vectors, weights = _check_contributions(contributions)
     raws = np.column_stack([np.vstack([weights[:, None] * vectors, vectors]), np.tile(weights, 2)])
     denom = np.maximum(np.linalg.norm(raws, axis=1), 1.0)
-    rel = [np.linalg.norm(p - raws, axis=1) / denom for p in transcript.server_visible() if p.size == raws.shape[1]]
-    min_rel = float(np.min(rel)) if rel else np.inf
-    leaked = transcript.mode == "masked" and not transcript.flags and min_rel <= 1e-9
+    min_rel = float((np.linalg.norm(transcript.payloads[:, None, :] - raws, axis=2) / denom).min())
+    leaked = not transcript.flags and min_rel <= 1e-9
     return {"min_relative_distance": min_rel, "leaked": bool(leaked), "flags": list(transcript.flags)}
 
 
@@ -249,7 +239,7 @@ def mm_quantile(
             trace.append(mu)
             continue
         beta = a / np.maximum(dist, MM_CLIP)
-        num, den = (aggregator([(np.array([b * v, b]), 1.0) for b, v in zip(beta, x)]) * x.size).tolist()
+        num, den = (aggregator([(row, 1.0) for row in np.column_stack([beta * x, beta])]) * x.size).tolist()
         mu_next = (num + (2.0 * spec.tau - 1.0)) / den
         # A minimizer of a discrete pinball loss is always a data point, and
         # the plain iteration only crawls into it geometrically. Once the

@@ -1,6 +1,7 @@
 """Command-line runner: config validation, artifact layout, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,15 @@ def test_bad_theta_override_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--thetas", "--seeds"])
+def test_empty_list_override_is_a_config_error(tmp_path, capsys, flag):
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    assert main(["run", "--config", path, flag, ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "over, flags",
     [
@@ -464,6 +474,18 @@ def test_diverging_run_names_round_and_device(tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_diverging_run_keeps_the_rounds_it_finished(tmp_path, capsys):
+    data = {**GAUSSIAN_DATA, "seed": 1}
+    cfg = tiny_config(tmp_path / "out", thetas=[0.5], data=data, loss={"kind": "squared_distance"})
+    cfg["federation"] = {"num_rounds": 400, "devices_per_round": 2, "lr0": 10.0}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 2
+    failed = int(re.match(r"error: round (\d+) diverged", capsys.readouterr().err).group(1))
+    assert failed == 120
+    rounds = read_rounds(tmp_path / "out" / "runs" / "0.5" / "0")
+    assert [r["round"] for r in rounds] == list(range(failed))
+
+
 def test_runtime_failure_exits_two(tmp_path, capsys):
     cfg = tiny_config(tmp_path / "out")
     cfg["data"] = {"device_file": str(tmp_path / "missing.jsonl")}
@@ -545,6 +567,23 @@ def test_gaussian_demo_rejects_bad_means(tmp_path, capsys):
     assert main(["gaussian-demo", "--output-dir", str(tmp_path), "--means", "[[0,0]"]) == 1
     assert "--means" in capsys.readouterr().err
     assert main(["gaussian-demo", "--output-dir", str(tmp_path), "--means", "[[0,0],[1,1]]"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--means", '[["a",0],[1,1],[2,0]]'),
+        ("--means", '[["0",0],[1.5,1],[4,0]]'),
+        ("--means", ""),
+        ("--n-per-device", "0"),
+    ],
+    ids=["means-not-numbers", "means-quoted-number", "means-empty", "n-per-device-zero"],
+)
+def test_bad_gaussian_demo_flags_are_config_errors(tmp_path, capsys, flag, value):
+    assert main(["gaussian-demo", "--output-dir", str(tmp_path / "demo"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not (tmp_path / "demo").exists()
 
 
 def test_triangle_targets_requires_three_planar_means():

@@ -147,17 +147,23 @@ def test_survivor_order_does_not_depend_on_who_else_survived(monkeypatch, local_
     captured = []
     kernel = models.packed_local_sgd
 
-    def capture(spec, w, packed, orders, lr, batch_size):
-        captured.append([np.array(o) for o in orders])
-        return kernel(spec, w, packed, orders, lr, batch_size)
+    def capture(spec, w, packed, order, counts, lr, batch_size):
+        # Each device's visits (rows of the sample's packed view), keyed by its
+        # slot in the sample; a filtered device has none.
+        ends = np.cumsum(counts)
+        captured.append({k: order[e - c : e] for k, (c, e) in enumerate(zip(counts, ends)) if c})
+        return kernel(spec, w, packed, order, counts, lr, batch_size)
 
     monkeypatch.setattr(models, "packed_local_sgd", capture)
     _, fresh = deltafl_round(pop, w, cfg, t=4)
     _, everyone = deltafl_round(pop, w, cfg, t=4, eta_override=0.0)  # every loss is positive
     assert set(fresh.filtered_ids) < set(everyone.filtered_ids) == set(everyone.sampled_ids)
-    few, all_orders = (dict(zip(log.filtered_ids, o)) for log, o in zip((fresh, everyone), captured))
-    for device, order in few.items():
-        assert np.array_equal(order, all_orders[device])
+    few, all_visits = (
+        {log.sampled_ids[k]: v for k, v in visits.items()} for log, visits in zip((fresh, everyone), captured)
+    )
+    assert list(few) == fresh.filtered_ids
+    for device, visits in few.items():
+        assert np.array_equal(visits, all_visits[device])
 
 
 def test_round_log_objectives_are_sample_superquantiles():

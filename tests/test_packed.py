@@ -96,6 +96,12 @@ def sgd_reference(spec, w, shard, order, lr, batch_size):
     return w
 
 
+def flat_order(packed, orders):
+    """Per-device local row orders as the kernel's flat packed rows and visit counts."""
+    order = np.concatenate([packed.offsets[k] + o for k, o in enumerate(orders)])
+    return order, [len(o) for o in orders]
+
+
 @SETTINGS
 @given(populations(), st.integers(1, 15), st.booleans(), st.floats(0.01, 0.5))
 def test_packed_local_sgd_matches_per_device_loop(case, batch_size, epoch, lr):
@@ -107,10 +113,16 @@ def test_packed_local_sgd_matches_per_device_loop(case, batch_size, epoch, lr):
         # point mode: single-example steps drawn with replacement
         batch_size = 1
         orders = [rng.integers(len(s), size=int(rng.integers(1, 6))) for s in pop.shards]
-    got = models.packed_local_sgd(spec, w, pop.packed, orders, lr, batch_size)
+    # A device with no visits, as a round gives a filtered device, takes no step.
+    idle = rng.random(len(pop)) < 0.3
+    orders = [o[:0] if skip else o for o, skip in zip(orders, idle)]
+    got = models.packed_local_sgd(spec, w, pop.packed, *flat_order(pop.packed, orders), lr, batch_size)
     assert got.shape == (len(pop), w.size)
     for k, shard in enumerate(pop.shards):
-        assert_close(got[k], sgd_reference(spec, w, shard, orders[k], lr, batch_size))
+        if idle[k]:
+            assert got[k].tobytes() == w.tobytes()
+        else:
+            assert_close(got[k], sgd_reference(spec, w, shard, orders[k], lr, batch_size))
 
 
 @SETTINGS
@@ -152,7 +164,8 @@ def test_padded_steps_leave_a_finished_device_alone():
     long = DeviceShard("b", rng.normal(size=(12, 2)), rng.choice([-1, 1], size=12))
     packed = PackedShards.from_shards([short, long])
     w = np.array([0.3, -0.4])
-    got = models.packed_local_sgd(spec, w, packed, [np.array([0]), np.arange(12)], 0.5, 4)
+    order, counts = flat_order(packed, [np.array([0]), np.arange(12)])
+    got = models.packed_local_sgd(spec, w, packed, order, counts, 0.5, 4)
     assert np.array_equal(got[0], w - 0.5 * models.batch_grad(spec, w, short.features, short.labels))
     assert_close(got[1], sgd_reference(spec, w, long, np.arange(12), 0.5, 4))
 
@@ -166,10 +179,18 @@ def test_kernels_reject_out_of_range_inputs():
     with pytest.raises(ValueError, match="class labels"):
         models.packed_weighted_grad(spec, w, packed, [1.0])
     with pytest.raises(ValueError, match="class labels"):
-        models.packed_local_sgd(spec, w, packed, [np.arange(2)], 0.1, 1)
+        models.packed_local_sgd(spec, w, packed, np.arange(2), [2], 0.1, 1)
     ok = LossSpec("binary_logistic")
     good = PackedShards.from_shards([DeviceShard("a", np.ones((2, 2)), np.array([1, -1]))])
     with pytest.raises(ValueError, match="own device"):
-        models.packed_local_sgd(ok, np.zeros(2), good, [np.array([2])], 0.1, 1)
+        models.packed_local_sgd(ok, np.zeros(2), good, np.array([2]), [1], 0.1, 1)
+    # Two 2-row devices: rows 0-1 are device 0's, rows 2-3 device 1's.
+    pair = PackedShards.from_shards([DeviceShard(d, np.ones((2, 2)), np.array([1, -1])) for d in "ab"])
+    with pytest.raises(ValueError, match="own device"):
+        models.packed_local_sgd(ok, np.zeros(2), pair, np.array([2, 3, 1]), [1, 2], 0.1, 1)
+    with pytest.raises(ValueError, match=r"sum to the flat order's length \(3\)"):
+        models.packed_local_sgd(ok, np.zeros(2), pair, np.array([0, 1, 2]), [2, 2], 0.1, 1)
+    with pytest.raises(ValueError, match="one visit count per device"):
+        models.packed_local_sgd(ok, np.zeros(2), pair, np.array([0, 1]), [2], 0.1, 1)
     with pytest.raises(ValueError, match="one coefficient per device"):
         models.packed_weighted_grad(ok, np.zeros(2), good, [1.0, 2.0])

@@ -61,12 +61,14 @@ def test_plain_weighted_sum_adds_rows_in_contribution_order(n, dim, seed):
 
 
 def test_contribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one contribution"):
         plain_weighted_sum([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="share one dimension"):
         plain_weighted_sum([(np.zeros(2), 1.0), (np.zeros(3), 1.0)])
-    with pytest.raises(ValueError):
-        plain_weighted_sum([(np.zeros(2), 0.0)])
+    with pytest.raises(ValueError, match="must be vectors"):
+        plain_weighted_sum([(np.zeros((2, 2)), 1.0), (np.ones((2, 2)), 1.0)])
+    with pytest.raises(ValueError, match="weights must be positive, got 0.0"):
+        plain_weighted_sum([(np.zeros(2), 1.0), (np.zeros(2), 0.0)])
 
 
 def test_masked_matches_plain_500_instances():
@@ -85,8 +87,7 @@ def test_masked_is_deterministic_in_seed():
     a, ta = masked_weighted_sum(contribs, pairwise_seed=5)
     b, tb = masked_weighted_sum(contribs, pairwise_seed=5)
     assert np.array_equal(a, b)
-    for ma, mb in zip(ta.messages, tb.messages):
-        assert np.array_equal(ma.payload, mb.payload)
+    assert np.array_equal(ta.payloads, tb.payloads)
 
 
 def test_huge_masks_still_cancel_to_float_precision():
@@ -103,6 +104,7 @@ def test_single_contributor_flagged_and_exact():
     got, transcript = masked_weighted_sum([(v, 3.0)], pairwise_seed=1)
     assert np.array_equal(got, v)
     assert "single_contributor_unmasked" in transcript.flags
+    assert np.array_equal(transcript.payloads, [[6.0, -3.0, 3.0]])
 
 
 def test_masked_payloads_hide_raw_values():
@@ -119,9 +121,8 @@ def test_audit_catches_plain_payloads():
     # masking with scale ~0 would expose the raw weighted payloads
     contribs = [(np.array([1.0, 2.0]), 1.0), (np.array([3.0, 4.0]), 1.0)]
     _, transcript = masked_weighted_sum(contribs, pairwise_seed=3, mask_scale=1e-30)
-    assert transcript.mode == "masked"
-    # one message per client: the value channels plus the weight channel
-    assert [p.size for p in transcript.server_visible()] == [3, 3]
+    # one payload row per client: the value channels plus the weight channel
+    assert transcript.payloads.shape == (2, 3)
     report = audit_transcript(transcript, contribs)
     assert report["leaked"]
 
@@ -133,8 +134,8 @@ def test_aggregator_factory_rotates_masks_but_not_results():
     r1 = agg(contribs)
     r2 = agg(contribs)
     assert np.allclose(r1, r2, rtol=1e-9)
-    p1 = transcripts[0].messages[0].payload
-    p2 = transcripts[1].messages[0].payload
+    p1 = transcripts[0].payloads[0]
+    p2 = transcripts[1].payloads[0]
     assert not np.allclose(p1, p2)  # fresh sub-seed per call
 
 
@@ -146,13 +147,12 @@ def test_aggregator_masks_differ_from_a_direct_masked_sum():
     transcripts = []
     make_masked_aggregator(pairwise_seed=23, transcripts=transcripts)(contribs)
     _, direct = masked_weighted_sum(contribs, pairwise_seed=23)
-    for sent, own in zip(transcripts[0].server_visible(), direct.server_visible()):
+    for sent, own in zip(transcripts[0].payloads, direct.payloads):
         assert not np.allclose(sent, own)
     # The sub-seeds are the draws of stream(seed, 1), in call order.
     sub_seed = int(stream(23, 1).integers(1 << 63))
     _, expected = masked_weighted_sum(contribs, pairwise_seed=sub_seed)
-    for sent, own in zip(transcripts[0].server_visible(), expected.server_visible()):
-        assert np.array_equal(sent, own)
+    assert np.array_equal(transcripts[0].payloads, expected.payloads)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ the record (round, iter or row) where it occurs. It exits 1 if the two file
 sets differ or any non-float value differs, else 0.
 
 The runs cover fedavg; deltafl at theta 1 and 0.5 with a frozen threshold
-period; masked aggregation at theta 1 (no threshold) and at theta 0.5 with
-the secure_mm threshold protocol; point-mode local steps; am_meta; a
-multinomial device file with a held-out split and a negative split_seed;
-and gaussian_mixture data.
+period; masked aggregation at theta 1 (no threshold) and at theta 0.5, once
+with the server_direct threshold and once with the secure_mm threshold
+protocol; point-mode local steps; am_meta; a multinomial device file with a
+held-out split and a negative split_seed; and gaussian_mixture data.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ MULTINOMIAL_FILE = "inputs/multinomial.jsonl"
 RUNS = {
     "fedavg": {"algorithm": "fedavg", "thetas": [1.0]},
     "deltafl": {"federation": {"eta_period": 3}},
+    "masked-direct": {"thetas": [1.0, 0.5], "federation": {"aggregation": "masked"}},
     "masked-secure-mm": {"thetas": [1.0, 0.5], "federation": {"aggregation": "masked", "eta_protocol": "secure_mm"}},
     "point-mode": {"federation": {"local_epoch": False, "n_local": 4}},
     "am-meta": {"algorithm": "am_meta", "federation": {"nu": 0.1}, "am": {"num_iters": 10}},
