@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -309,22 +310,6 @@ def _final_metrics(
     return out
 
 
-def _snapshot_rows(
-    cfg: ExperimentConfig, run, train: Population, test: Population | None
-) -> list[dict]:
-    rows = []
-    for snap in run.snapshots:
-        row: dict = {"round": snap.round_index}
-        row.update(_final_metrics(cfg, snap.params, train, test))
-        rows.append(row)
-    final_round = len(run.rounds) - 1
-    if not rows or rows[-1]["round"] != final_round:
-        row = {"round": final_round}
-        row.update(_final_metrics(cfg, run.params, train, test))
-        rows.append(row)
-    return rows
-
-
 def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) -> dict[str, float]:
     pop = _build_population(cfg, seed)
     if cfg.split_fraction is not None:
@@ -334,38 +319,54 @@ def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) ->
     cell_dir.mkdir(parents=True, exist_ok=True)
     fed = _federation_config(cfg, theta=theta, seed=seed)
 
-    if cfg.algorithm == "am_meta":
-        objectives = population_objectives(train, cfg.loss)
-        result = _solve_am(objectives, theta, fed.nu, cfg.am, models.init_params(cfg.loss, train.feature_dim))
-        with open(cell_dir / "rounds.jsonl", "w", encoding="utf-8") as fh:
-            for t, it in enumerate(result.iterates):
-                fh.write(json.dumps({"iter": t, **it.to_dict()}) + "\n")
-        rows = [
-            {"iter": t, "grad_norm": it.grad_norm, "smoothed_value": it.smoothed_value}
-            for t, it in enumerate(result.iterates)
-        ]
-        metrics_mod.summary_export(rows, cell_dir / "metrics.csv")
-        final = _final_metrics(cfg, result.params, train, test)
-        final["grad_norm"] = result.iterates[-1].grad_norm
-        return final
+    # Each rounds.jsonl line and metrics.csv row is written as its round,
+    # iterate or snapshot ends, so a run that dies keeps what it finished.
+    with (
+        open(cell_dir / "rounds.jsonl", "w", encoding="utf-8") as fh,
+        metrics_mod.SummaryWriter(cell_dir / "metrics.csv") as table,
+    ):
 
-    # Each round's line is written as the round ends, so a run that dies
-    # keeps the rounds it finished.
-    with open(cell_dir / "rounds.jsonl", "w", encoding="utf-8") as fh:
-
-        def write_round(log) -> None:
-            fh.write(json.dumps(log.to_dict()) + "\n")
+        def write_line(record: dict) -> None:
+            fh.write(json.dumps(record) + "\n")
             fh.flush()
 
-        run = run_federated(train, fed, algorithm=cfg.algorithm, eval_every=cfg.eval_every, on_round=write_round)
-    rows = _snapshot_rows(cfg, run, train, test)
-    metrics_mod.summary_export(rows, cell_dir / "metrics.csv")
-    return _final_metrics(cfg, run.params, train, test)
+        if cfg.algorithm == "am_meta":
+            iters = itertools.count()
+
+            def write_iterate(it) -> None:
+                t = next(iters)
+                write_line({"iter": t, **it.to_dict()})
+                table.write({"iter": t, "grad_norm": it.grad_norm, "smoothed_value": it.smoothed_value})
+
+            objectives = population_objectives(train, cfg.loss)
+            w0 = models.init_params(cfg.loss, train.feature_dim)
+            result = _solve_am(objectives, theta, fed.nu, cfg.am, w0, on_iterate=write_iterate)
+            final = _final_metrics(cfg, result.params, train, test)
+            final["grad_norm"] = result.iterates[-1].grad_norm
+            return final
+
+        def write_snapshot(snap) -> None:
+            table.write({"round": snap.round_index, **_final_metrics(cfg, snap.params, train, test)})
+
+        run = run_federated(
+            train,
+            fed,
+            algorithm=cfg.algorithm,
+            eval_every=cfg.eval_every,
+            on_round=lambda log: write_line(log.to_dict()),
+            on_snapshot=write_snapshot,
+        )
+        final = _final_metrics(cfg, run.params, train, test)
+        final_round = len(run.rounds) - 1
+        if not run.snapshots or run.snapshots[-1].round_index != final_round:
+            table.write({"round": final_round, **final})
+        return final
 
 
-def _solve_am(objectives, theta: float, nu: float, am: AMSettings, w0: np.ndarray) -> AMResult:
+def _solve_am(objectives, theta: float, nu: float, am: AMSettings, w0: np.ndarray, on_iterate=None) -> AMResult:
     solver = CertifiedGradientDescent(strong_convexity=am.strong_convexity, initial_step=am.initial_step)
-    return am_meta(objectives, theta, nu, PowerLawSchedule(am.eps0, am.exponent), solver, am.num_iters, w0)
+    schedule = PowerLawSchedule(am.eps0, am.exponent)
+    return am_meta(objectives, theta, nu, schedule, solver, am.num_iters, w0, on_iterate=on_iterate)
 
 
 def _label(cfg: ExperimentConfig, theta: float) -> str:

@@ -273,6 +273,7 @@ def run_federated(
     eval_every: int = 0,
     w0: np.ndarray | None = None,
     on_round: Callable[[RoundLog], None] | None = None,
+    on_snapshot: Callable[[EvalSnapshot], None] | None = None,
 ) -> FederatedRun:
     """Drive num_rounds rounds of the chosen algorithm from w0 (zeros by default).
 
@@ -280,7 +281,8 @@ def run_federated(
     At theta < 1 the round threshold is recomputed every eta_period rounds
     and frozen in between (the sampled set still changes each round).
     Snapshots of the parameters are recorded every eval_every rounds when
-    requested; on_round, if given, gets each round's log as the round ends.
+    requested; on_round, if given, gets each round's log as the round ends,
+    and on_snapshot each snapshot as it is taken.
     A round whose reported or post-round losses are non-finite raises
     FloatingPointError naming the round and the first such device.
     """
@@ -304,6 +306,8 @@ def run_federated(
             on_round(log)
         if eval_every > 0 and (t + 1) % eval_every == 0:
             snapshots.append(EvalSnapshot(round_index=t, params=w.copy()))
+            if on_snapshot is not None:
+                on_snapshot(snapshots[-1])
     return FederatedRun(params=w, rounds=logs, snapshots=snapshots)
 
 
@@ -487,6 +491,7 @@ def am_meta(
     solver: CertifiedGradientDescent,
     num_iters: int,
     w0: np.ndarray,
+    on_iterate: Callable[[AMIterate], None] | None = None,
 ) -> AMResult:
     """Alternating minimization of the smoothed tail objective.
 
@@ -495,6 +500,8 @@ def am_meta(
     step against the inexactness budget schedule(t). The recorded threshold
     slope is zero after every threshold step up to roundoff, and the smoothed
     objective never increases by more than the budget between iterations.
+    on_iterate, if given, gets each iterate as it is recorded (the start
+    point first).
     """
     theta = check_conformity(theta)
     nu = check_smoothing(nu)
@@ -515,6 +522,8 @@ def am_meta(
                 nonsmooth_value=plus_objective(wv, theta, eta),
             )
         )
+        if on_iterate is not None:
+            on_iterate(iterates[-1])
         return eta
 
     eta = record(w)

@@ -83,6 +83,40 @@ def summarize(table: DeviceMetricTable, percentiles=DEFAULT_PERCENTILES) -> dict
     return out
 
 
+class SummaryWriter:
+    """CSV of summary records written one row at a time, each flushed as written.
+
+    The header is the first record's keys, and the file is created only when
+    that record arrives, so a run that dies before its first row leaves no
+    file. Every later record must have the same key order. Use as a context
+    manager; leaving it closes the file.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self._fh = None
+        self._writer = None
+        self._header: list | None = None
+
+    def write(self, record: dict) -> None:
+        if self._fh is None:
+            self._header = list(record.keys())
+            self._fh = open(self.path, "w", encoding="utf-8", newline="")
+            self._writer = csv.writer(self._fh)
+            self._writer.writerow(self._header)
+        elif list(record.keys()) != self._header:
+            raise ValueError("summary records must share one key order")
+        self._writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in record.values()])
+        self._fh.flush()
+
+    def __enter__(self) -> "SummaryWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+
 def summary_export(records: list[dict], path) -> None:
     """Write summary records (one dict per row) to CSV with a stable header."""
     if not records:
@@ -91,8 +125,6 @@ def summary_export(records: list[dict], path) -> None:
     for rec in records:
         if list(rec.keys()) != header:
             raise ValueError("summary records must share one key order")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    with SummaryWriter(path) as out:
         for rec in records:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in rec.values()])
+            out.write(rec)

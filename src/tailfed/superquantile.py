@@ -15,6 +15,8 @@ differentiable while staying within ``nu/(2*theta)`` of the exact objective.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Tolerance for probability mass checks and tie decisions.
@@ -193,31 +195,61 @@ def smoothed_eta_minimizers(wv: WeightedValues, theta: float, nu: float) -> tupl
     """Closed interval of minimizers of eta -> smoothed_objective(wv, theta, nu, eta).
 
     The slope is continuous, nondecreasing, and piecewise linear with
-    breakpoints at every x_k and x_k - nu, so it suffices to evaluate it at
-    those points and interpolate the sign change. For theta = 1 the objective
-    is flat on (-inf, min x - nu]; the right endpoint of that ray is returned
-    as the canonical (degenerate) interval.
+    breakpoints at every x_k and x_k - nu, so the minimizers lie between the
+    last breakpoint where it is negative and the first where it is not.
+
+    The values are sorted once (stably) and the weights and weight x value
+    are summed as prefixes. Two ``searchsorted`` passes then give the slope
+    at every breakpoint c at once: the weight above c + nu counts fully, the
+    weight in (c, c + nu] counts (x_k - c)/nu. That locates the first
+    breakpoint with a nonnegative slope. Prefix sums round differently from
+    the exact slope, so the bracket is confirmed with
+    ``smoothed_objective_slope`` at the breakpoints next to it, walking left
+    or right while its sign says so. A flat stretch (slope exactly 0) ends at
+    the last breakpoint whose exact slope is still <= 0; otherwise the root
+    is interpolated on the one linear piece between the bracketing
+    breakpoints. The cost is O(n log n) plus a constant number of O(n) exact
+    slope evaluations, and O(n) memory.
+
+    For theta = 1 the objective is flat on (-inf, min x - nu]; the right
+    endpoint of that ray is returned as the canonical (degenerate) interval.
     """
     theta = check_conformity(theta)
     nu = check_smoothing(nu)
     if theta == 1.0:
         lo = float(wv.values.min() - nu)
         return (lo, lo)
-    cand = np.unique(np.concatenate([wv.values, wv.values - nu]))
-    slopes = np.array([smoothed_objective_slope(wv, theta, nu, c) for c in cand])
-    nonneg = cand[slopes >= 0.0]
-    nonpos = cand[slopes <= 0.0]
-    # The slope is 1 - 1/theta < 0 at min(x) - nu and 1 > 0 at max(x), so
-    # neither candidate set is empty.
-    a = float(nonneg.min())
-    b = float(nonpos.max())
-    slope_a = smoothed_objective_slope(wv, theta, nu, a)
-    if slope_a > 0.0:
-        # Unique root strictly between b and a; the slope is linear there.
-        slope_b = smoothed_objective_slope(wv, theta, nu, b)
-        root = b + (-slope_b) * (a - b) / (slope_a - slope_b)
+    x, a = _sorted_profile(wv)
+    cand = np.unique(np.concatenate([x, x - nu]))
+    mass = np.concatenate(([0.0], np.cumsum(a)))
+    moment = np.concatenate(([0.0], np.cumsum(a * x)))
+    below = np.searchsorted(x, cand, side="right")
+    ramp_end = np.searchsorted(x, cand + nu, side="right")
+    ramp = (moment[ramp_end] - moment[below] - cand * (mass[ramp_end] - mass[below])) / nu
+    approx = 1.0 - (mass[-1] - mass[ramp_end] + ramp) / theta
+
+    @functools.cache
+    def slope(j: int) -> float:
+        return smoothed_objective_slope(wv, theta, nu, float(cand[j]))
+
+    # The slope is 1 - 1/theta < 0 at min(x) - nu and exactly 1 at max(x),
+    # the last breakpoint, so the walks below stay inside cand.
+    k = int(np.argmax(approx >= 0.0))
+    while slope(k) < 0.0:
+        k += 1
+    while k > 0 and slope(k - 1) >= 0.0:
+        k -= 1
+    a_end = float(cand[k])
+    if slope(k) > 0.0:
+        # Unique root strictly between the bracketing breakpoints; the slope
+        # is linear there.
+        b_end, slope_a, slope_b = float(cand[k - 1]), slope(k), slope(k - 1)
+        root = b_end + (-slope_b) * (a_end - b_end) / (slope_a - slope_b)
         return (root, root)
-    return (a, b)
+    j = k
+    while j + 1 < cand.size and slope(j + 1) <= 0.0:
+        j += 1
+    return (a_end, float(cand[j]))
 
 
 def smoothed_eta_star(wv: WeightedValues, theta: float, nu: float) -> float:

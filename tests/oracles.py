@@ -71,6 +71,43 @@ def grid_eta_minimum(values, weights, theta: float, nu: float, num: int = 200001
     return float(grid[int(vals.argmin())]), float(best), float(flat.min()), float(flat.max())
 
 
+def _smoothed_slope_dot(values, weights, theta: float, nu: float, eta: float) -> float:
+    # The package's slope formula, copied so the search below shares no code
+    # with it. It sums with np.dot, as the package does, so that its result
+    # can be compared with ==; a loop like smoothed_slope_naive rounds
+    # differently.
+    r = values - float(eta)
+    gp = np.where(r <= 0.0, 0.0, np.where(r <= nu, r / nu, 1.0))
+    return 1.0 - float(np.dot(weights, gp)) / theta
+
+
+def smoothed_eta_minimizers_naive(values, weights, theta: float, nu: float) -> tuple[float, float]:
+    """Minimizer interval of the smoothed objective by evaluating the slope at every breakpoint.
+
+    O(n^2): the exact slope at each of the ~2n breakpoints x_k and x_k - nu,
+    then the first nonnegative and the last nonpositive one, interpolated on
+    the linear piece between them when the slope crosses zero there. Pass
+    the values and weights of a WeightedValues (weights already normalized).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if theta == 1.0:
+        lo = float(values.min() - nu)
+        return (lo, lo)
+    cand = np.unique(np.concatenate([values, values - nu]))
+    slopes = np.array([_smoothed_slope_dot(values, weights, theta, nu, c) for c in cand])
+    nonneg = cand[slopes >= 0.0]
+    nonpos = cand[slopes <= 0.0]
+    a = float(nonneg.min())
+    b = float(nonpos.max())
+    slope_a = _smoothed_slope_dot(values, weights, theta, nu, a)
+    if slope_a > 0.0:
+        slope_b = _smoothed_slope_dot(values, weights, theta, nu, b)
+        root = b + (-slope_b) * (a - b) / (slope_a - slope_b)
+        return (root, root)
+    return (a, b)
+
+
 # ---------------------------------------------------------------------------
 # quantiles
 

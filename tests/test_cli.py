@@ -1,5 +1,6 @@
 """Command-line runner: config validation, artifact layout, determinism."""
 
+import itertools
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailfed import gen_hetero_logistic, save_devices_jsonl
+from tailfed import CertifiedGradientDescent, gen_hetero_logistic, save_devices_jsonl
 from tailfed.cli import (
     ConfigError,
     cmd_gaussian_demo,
@@ -484,6 +485,41 @@ def test_diverging_run_keeps_the_rounds_it_finished(tmp_path, capsys):
     assert failed == 120
     rounds = read_rounds(tmp_path / "out" / "runs" / "0.5" / "0")
     assert [r["round"] for r in rounds] == list(range(failed))
+
+
+def test_diverging_run_keeps_the_snapshot_rows_it_finished(tmp_path, capsys):
+    data = {**GAUSSIAN_DATA, "seed": 1}
+    cfg = tiny_config(tmp_path / "out", thetas=[0.5], data=data, loss={"kind": "squared_distance"}, eval_every=25)
+    cfg["federation"] = {"num_rounds": 400, "devices_per_round": 2, "lr0": 10.0}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: round 120 diverged")
+    header, rows = read_csv_rows(tmp_path / "out" / "runs" / "0.5" / "0" / "metrics.csv")
+    assert header[:2] == ["round", "train_loss_mean"]
+    assert [int(r["round"]) for r in rows] == [24, 49, 74, 99]
+
+
+def test_failed_am_meta_run_keeps_the_iterates_it_finished(tmp_path, monkeypatch, capsys):
+    cfg = tiny_config(tmp_path / "out", algorithm="am_meta", thetas=[0.5])
+    cfg["am"] = {"num_iters": 12}
+    path = write_config(tmp_path, cfg)
+    solve = CertifiedGradientDescent.solve
+    calls = itertools.count()
+
+    def failing_solve(self, *args, **kwargs):
+        if next(calls) == 4:
+            raise FloatingPointError("parameter step failed")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(CertifiedGradientDescent, "solve", failing_solve)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: parameter step failed\n"
+    cell = tmp_path / "out" / "runs" / "0.5" / "0"
+    # the start point and the iterates of the 4 parameter steps that finished
+    assert [r["iter"] for r in read_rounds(cell)] == list(range(5))
+    header, rows = read_csv_rows(cell / "metrics.csv")
+    assert header == ["iter", "grad_norm", "smoothed_value"]
+    assert [int(r["iter"]) for r in rows] == list(range(5))
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):

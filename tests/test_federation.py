@@ -291,8 +291,10 @@ def test_eta_period_freezes_threshold():
 def test_snapshots_recorded_on_schedule():
     pop = small_population()
     cfg = base_config(num_rounds=6)
-    run = run_federated(pop, cfg, algorithm="fedavg", eval_every=2)
+    seen = []
+    run = run_federated(pop, cfg, algorithm="fedavg", eval_every=2, on_snapshot=seen.append)
     assert [s.round_index for s in run.snapshots] == [1, 3, 5]
+    assert seen == run.snapshots  # handed over as each is taken
     # each snapshot holds the parameters right after its round
     for snap in run.snapshots:
         short = run_federated(pop, base_config(num_rounds=snap.round_index + 1), algorithm="fedavg")
@@ -373,8 +375,10 @@ def test_am_descent_inequality_and_flat_threshold():
     objs = quadratic_objectives(centers, offsets)
     sched = PowerLawSchedule(0.1, 1.5)
     solver = CertifiedGradientDescent(strong_convexity=2.0, initial_step=0.25)
+    seen = []
     res = am_meta(objs, theta=0.6, nu=0.05, schedule=sched, solver=solver,
-                  num_iters=25, w0=np.zeros(4))
+                  num_iters=25, w0=np.zeros(4), on_iterate=seen.append)
+    assert seen == res.iterates
     vals = [it.smoothed_value for it in res.iterates]
     for t in range(len(vals) - 1):
         assert vals[t + 1] <= vals[t] + sched(t) + 1e-12

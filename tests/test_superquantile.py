@@ -1,7 +1,11 @@
 """Core tail-statistics tests: quantiles, superquantiles, smoothing."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailfed import (
     WeightedValues,
@@ -25,6 +29,7 @@ from oracles import (
     max_reweighted_mean,
     plus_objective_naive,
     quantile_naive,
+    smoothed_eta_minimizers_naive,
     smoothed_objective_naive,
     smoothed_slope_naive,
     tail_average_naive,
@@ -436,6 +441,95 @@ def test_eta_interval_theta_one_gives_mean_value():
         assert lo == hi
         mean = float(np.dot(wv.weights, wv.values))
         assert smoothed_objective(wv, 1.0, nu, lo) == pytest.approx(mean, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the sorted threshold search against the slope-at-every-breakpoint oracle
+
+@st.composite
+def threshold_profiles(draw):
+    """(values, weights, theta, nu) with ties, count weights and flat stretches.
+
+    "grid" values are integer multiples of a dyadic nu, so x_j - nu lands
+    exactly on x_i; "boundary" puts theta on a cumulative-weight boundary,
+    which makes the slope exactly 0 on a stretch.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 13, 40, 200, 3000]))
+    nu = draw(st.sampled_from([1e-3, 0.1, 0.25, 0.5, 1.0, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "lognormal", "ties", "grid"]))
+    if kind == "normal":
+        values = rng.normal(size=n) * draw(st.sampled_from([0.01, 1.0, 50.0]))
+    elif kind == "lognormal":
+        values = rng.lognormal(size=n)
+    elif kind == "ties":
+        values = rng.integers(0, max(2, n // 3), size=n) * 0.7 - 1.0
+    else:
+        step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        nu = step * draw(st.sampled_from([1, 2]))
+        values = rng.integers(-6, 7, size=n) * step
+    weighting = draw(st.sampled_from(["uniform", "counts", "random"]))
+    if weighting == "uniform":
+        raw = np.ones(n)
+    elif weighting == "counts":
+        raw = rng.integers(1, 6, size=n).astype(np.float64)
+    else:
+        raw = rng.uniform(0.05, 1.0, size=n)
+    weights = raw / raw.sum()
+    how = draw(st.sampled_from(["level", "uniform", "boundary"]))
+    if how == "level":
+        theta = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9, 1.0]))
+    elif how == "uniform":
+        theta = draw(st.floats(0.01, 1.0))
+    else:
+        # the weight of the m largest values, m < n
+        m = draw(st.integers(1, max(1, n - 1)))
+        theta = float(min(1.0, weights[np.argsort(values, kind="stable")[::-1][:m]].sum()))
+    return values, weights, theta, nu
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(threshold_profiles())
+@example(([1.0, 2.0, 3.0, 4.0], [0.25] * 4, 0.5, 0.1))
+@example(([0.0, 10.0], [0.5, 0.5], 0.5, 1.0))
+@example(([0.0, 1.0, 1.0, 2.0, 3.0], [0.2] * 5, 0.4, 1.0))
+@example(([3.0], [1.0], 0.5, 1.0))
+@example(([3.0], [1.0], 1.0, 0.1))
+@example(([1.0, 5.0, 2.0], [0.5, 0.25, 0.25], 1.0, 1e-3))
+def test_eta_minimizers_equal_the_breakpoint_oracle(case):
+    values, weights, theta, nu = case
+    wv = WeightedValues(values, weights)
+    lo, hi = smoothed_eta_minimizers(wv, theta, nu)
+    want_lo, want_hi = smoothed_eta_minimizers_naive(wv.values, wv.weights, theta, nu)
+    assert lo == want_lo
+    assert hi == want_hi
+
+
+@pytest.mark.parametrize(
+    "values, weights, theta, nu",
+    [
+        ("lognormal", None, 0.5, 0.1),
+        ([0.0, 10.0], [0.5, 0.5], 0.5, 1.0),
+        ([1.0, 2.0, 3.0, 4.0], [0.25] * 4, 0.5, 0.1),
+    ],
+)
+def test_eta_minimizers_make_a_constant_number_of_exact_slope_calls(monkeypatch, values, weights, theta, nu):
+    # the package attribute tailfed.superquantile is the function of that name
+    module = importlib.import_module("tailfed.superquantile")
+    if values == "lognormal":
+        values = np.random.default_rng(19).lognormal(size=10_000)
+        weights = np.full(values.size, 1.0 / values.size)
+    wv = WeightedValues(values, weights)
+    calls = []
+    exact = module.smoothed_objective_slope
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(module, "smoothed_objective_slope", counted)
+    module.smoothed_eta_minimizers(wv, theta, nu)
+    assert 1 <= len(calls) <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ sets differ or any non-float value differs, else 0.
 The runs cover fedavg; deltafl at theta 1 and 0.5 with a frozen threshold
 period; masked aggregation at theta 1 (no threshold) and at theta 0.5, once
 with the server_direct threshold and once with the secure_mm threshold
-protocol; point-mode local steps; am_meta; a multinomial device file with a
-held-out split and a negative split_seed; and gaussian_mixture data.
+protocol; point-mode local steps; am_meta at theta 1 and 0.5 with smoothing
+width nu 0.1 and nu 1e-3; a multinomial device file with a held-out split
+and a negative split_seed; and gaussian_mixture data.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ RUNS = {
     "masked-secure-mm": {"thetas": [1.0, 0.5], "federation": {"aggregation": "masked", "eta_protocol": "secure_mm"}},
     "point-mode": {"federation": {"local_epoch": False, "n_local": 4}},
     "am-meta": {"algorithm": "am_meta", "federation": {"nu": 0.1}, "am": {"num_iters": 10}},
+    "am-meta-small-nu": {"algorithm": "am_meta", "federation": {"nu": 1e-3}, "am": {"num_iters": 10}},
     "multinomial-device-file": {
         "data": {"device_file": MULTINOMIAL_FILE},
         "loss": {"kind": "multinomial_logistic", "num_classes": 3, "l2_reg": 0.001},
