@@ -34,10 +34,9 @@ from .metrics import (
     DeviceMetricTable,
     percentile,
     summarize,
-    summary_export,
     table_from_population,
 )
-from .models import LossSpec, device_error, device_grad, device_loss, init_params, point_grad, point_loss
+from .models import LossSpec, device_error, device_loss, init_params, point_grad, point_loss
 from .secure_agg import (
     AggregationTranscript,
     MMQuantileResult,
@@ -52,8 +51,6 @@ from .secure_agg import (
 )
 from .superquantile import (
     WeightedValues,
-    conformity,
-    in_feasible_set,
     plus_objective,
     smoothed_device_coefficients,
     smoothed_eta_minimizers,

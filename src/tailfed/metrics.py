@@ -1,4 +1,4 @@
-"""Per-device metric tables and their summaries and exports.
+"""Per-device metric tables, their summaries, and the CSV summary writer.
 
 Percentiles follow the lower-value convention with no interpolation: the
 tau-th percentile of a profile is its weighted (1 - tau/100)-quantile, i.e.
@@ -17,7 +17,7 @@ import numpy as np
 from .superquantile import WeightedValues, weighted_quantile
 
 METRIC_KINDS = ("train_loss", "test_error")
-DEFAULT_PERCENTILES = (20, 50, 60, 80, 90, 95)
+PERCENTILES = (20, 50, 60, 80, 90, 95)
 
 
 @dataclass
@@ -74,11 +74,11 @@ def percentile(table: DeviceMetricTable, tau: float) -> float:
     return weighted_quantile(table._profile(), 1.0 - tau / 100.0)
 
 
-def summarize(table: DeviceMetricTable, percentiles=DEFAULT_PERCENTILES) -> dict[str, float]:
-    """Mean and requested percentiles as a flat dict: {"mean", "p20", ...}."""
+def summarize(table: DeviceMetricTable) -> dict[str, float]:
+    """Mean and the PERCENTILES as a flat dict: {"mean", "p20", ...}."""
     profile = table._profile()
     out = {"mean": profile.mean()}
-    for tau in percentiles:
+    for tau in PERCENTILES:
         out[f"p{int(tau)}"] = percentile(table, float(tau))
     return out
 
@@ -116,15 +116,3 @@ class SummaryWriter:
         if self._fh is not None:
             self._fh.close()
 
-
-def summary_export(records: list[dict], path) -> None:
-    """Write summary records (one dict per row) to CSV with a stable header."""
-    if not records:
-        raise ValueError("no records to export")
-    header = list(records[0].keys())
-    for rec in records:
-        if list(rec.keys()) != header:
-            raise ValueError("summary records must share one key order")
-    with SummaryWriter(path) as out:
-        for rec in records:
-            out.write(rec)

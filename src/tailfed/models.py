@@ -8,11 +8,14 @@ ridge term (reg/2)*||w||^2 folded into every loss value:
 * ``multinomial_logistic``: cross entropy of a C-way linear softmax; the
   parameter vector is the row-major flattening of the (C, p) weight matrix.
 
-The ``batch_*`` and ``device_*`` functions evaluate one batch or one shard
-and are the reference. The ``packed_*`` kernels evaluate every device of a
-packed view (``tailfed.data.PackedShards``) in one vectorized pass: one
-matmul over the stacked rows, then ``np.add.reduceat`` over the device
-segments. They agree with the reference up to summation order.
+Every gradient, from one example to every device of a round, is one
+formula: ``_row_grads``, a row-weighted sum of per-example gradients. The
+``packed_*`` kernels evaluate every device of a packed view
+(``tailfed.data.PackedShards``) in one vectorized pass: one matmul over the
+stacked rows, then ``np.add.reduceat`` over the device segments. The
+per-point and per-shard functions (``point_loss``, ``point_grad``,
+``device_loss``, ``device_error``) are the same formulas on one example or
+one shard; the independent references live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -83,28 +86,6 @@ def batch_losses(spec: LossSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) ->
     return -logp[np.arange(X.shape[0]), _labels_for(spec, y)] + reg
 
 
-def batch_grad(spec: LossSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean loss over the batch."""
-    X = np.asarray(X, dtype=np.float64)
-    n, p = X.shape
-    w = _check_params(spec, w, p)
-    if spec.kind == "squared_distance":
-        grad = 2.0 * (w - X.mean(axis=0))
-    elif spec.kind == "binary_logistic":
-        yv = np.asarray(y, dtype=np.float64)
-        margins = yv * (X @ w)
-        # d/dm log(1+exp(-m)) = -sigmoid(-m)
-        sig = 1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))
-        grad = -(X * (yv * sig)[:, None]).mean(axis=0)
-    else:
-        W = w.reshape(spec.num_classes, p)
-        probs = np.exp(_log_softmax(X @ W.T))
-        idx = np.asarray(y, dtype=np.int64)
-        probs[np.arange(n), idx] -= 1.0
-        grad = (probs.T @ X / n).reshape(-1)
-    return grad + spec.l2_reg * w
-
-
 def point_loss(spec: LossSpec, w: np.ndarray, x: np.ndarray, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     return float(batch_losses(spec, w, x[None, :], np.asarray([y]))[0])
@@ -112,7 +93,9 @@ def point_loss(spec: LossSpec, w: np.ndarray, x: np.ndarray, y) -> float:
 
 def point_grad(spec: LossSpec, w: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return batch_grad(spec, w, x[None, :], np.asarray([y]))
+    w = _check_params(spec, w, x.size)
+    grad = _row_grads(spec, w, x[None, :], _labels_for(spec, np.asarray([y])), np.ones(1))
+    return grad + spec.l2_reg * w
 
 
 def device_loss(spec: LossSpec, w: np.ndarray, shard) -> float:
@@ -120,13 +103,6 @@ def device_loss(spec: LossSpec, w: np.ndarray, shard) -> float:
     if len(shard.labels) == 0:
         raise ValueError(f"device {shard.device_id!r} has no examples")
     return float(batch_losses(spec, w, shard.features, shard.labels).mean())
-
-
-def device_grad(spec: LossSpec, w: np.ndarray, shard) -> np.ndarray:
-    """Gradient of the mean loss over a shard."""
-    if len(shard.labels) == 0:
-        raise ValueError(f"device {shard.device_id!r} has no examples")
-    return batch_grad(spec, w, shard.features, shard.labels)
 
 
 def predict(spec: LossSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -147,8 +123,7 @@ def device_error(spec: LossSpec, w: np.ndarray, shard) -> float:
     if len(shard.labels) == 0:
         raise ValueError(f"device {shard.device_id!r} has no examples")
     preds = predict(spec, w, shard.features)
-    truth = np.asarray(shard.labels, dtype=np.int64)
-    return float(np.mean(preds != truth))
+    return float(np.mean(preds != _labels_for(spec, shard.labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +134,13 @@ def _labels_for(spec: LossSpec, labels: np.ndarray) -> np.ndarray:
     # Class indices for the softmax, real-valued labels otherwise.
     if spec.kind != "multinomial_logistic":
         return np.asarray(labels, dtype=np.float64)
-    idx = np.asarray(labels, dtype=np.int64)
+    idx = np.asarray(labels)
+    # Checked before the cast, which would truncate 1.5 to class 1.
+    if idx.dtype.kind not in "iu" and np.any(idx != np.floor(idx)):
+        raise ValueError("class labels must be integers")
     if np.any(idx < 0) or np.any(idx >= spec.num_classes):
         raise ValueError("class labels must lie in [0, num_classes)")
-    return idx
+    return idx.astype(np.int64, copy=False)
 
 
 def _row_grads(spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -199,7 +177,7 @@ def packed_losses(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
 
 def packed_errors(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
     """Every device's fraction of misclassified examples, in device order."""
-    wrong = predict(spec, w, packed.features) != np.asarray(packed.labels, dtype=np.int64)
+    wrong = predict(spec, w, packed.features) != _labels_for(spec, packed.labels)
     return np.add.reduceat(wrong.astype(np.int64), packed.offsets) / packed.sizes
 
 

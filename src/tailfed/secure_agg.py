@@ -28,7 +28,8 @@ Aggregator = Callable[[Sequence[Contribution]], np.ndarray]
 # Floor for majorize-minimize denominators; also the coincidence tolerance
 # for snapping onto a data point.
 MM_CLIP = 1e-12
-DEFAULT_MASK_SCALE = 1e3
+# Standard deviation of every pairwise mask entry.
+MASK_SCALE = 1e3
 
 
 @dataclass
@@ -69,9 +70,7 @@ def plain_weighted_sum(contributions: Sequence[Contribution]) -> np.ndarray:
 
 
 def masked_weighted_sum(
-    contributions: Sequence[Contribution],
-    pairwise_seed: int,
-    mask_scale: float = DEFAULT_MASK_SCALE,
+    contributions: Sequence[Contribution], pairwise_seed: int
 ) -> tuple[np.ndarray, AggregationTranscript]:
     """Weighted average computed from masked payloads.
 
@@ -90,7 +89,7 @@ def masked_weighted_sum(
     rng = stream(pairwise_seed)
     for i in range(n - 1):
         # Client i's masks for every j > i, one row each.
-        masks = rng.normal(0.0, mask_scale, size=(n - i - 1, dim + 1))
+        masks = rng.normal(0.0, MASK_SCALE, size=(n - i - 1, dim + 1))
         payloads[i] += masks.sum(axis=0)
         payloads[i + 1 :] -= masks
     total = payloads.sum(axis=0)
@@ -114,21 +113,14 @@ def audit_transcript(
     return {"min_relative_distance": min_rel, "leaked": bool(leaked), "flags": list(transcript.flags)}
 
 
-def make_masked_aggregator(
-    pairwise_seed: int,
-    mask_scale: float = DEFAULT_MASK_SCALE,
-    transcripts: list[AggregationTranscript] | None = None,
-) -> Aggregator:
+def make_masked_aggregator(pairwise_seed: int) -> Aggregator:
     """Aggregator closure over masked_weighted_sum. Call c masks with the c-th
     sub-seed drawn from ``stream(pairwise_seed, 1)``, a stream apart from the
     masks of ``masked_weighted_sum(..., pairwise_seed)`` itself."""
     sub_seeds = stream(pairwise_seed, 1)
 
     def _agg(contributions: Sequence[Contribution]) -> np.ndarray:
-        result, transcript = masked_weighted_sum(contributions, int(sub_seeds.integers(1 << 63)), mask_scale)
-        if transcripts is not None:
-            transcripts.append(transcript)
-        return result
+        return masked_weighted_sum(contributions, int(sub_seeds.integers(1 << 63)))[0]
 
     return _agg
 
@@ -263,8 +255,6 @@ def secure_quantile_for_round(
     weights: Sequence[float],
     theta: float,
     aggregator: Aggregator | None = None,
-    max_iters: int = 500,
-    tol: float = 1e-10,
 ) -> float:
     """(1-theta)-quantile of reported losses via the aggregated MM protocol.
 
@@ -277,4 +267,4 @@ def secure_quantile_for_round(
         return float(losses.min())
     w = np.asarray(weights, dtype=np.float64)
     spec = PinballSpec(losses, w / w.sum(), tau=1.0 - float(theta))
-    return mm_quantile(spec, max_iters=max_iters, tol=tol, aggregator=aggregator).value
+    return mm_quantile(spec, aggregator=aggregator).value

@@ -26,25 +26,6 @@ EPS = 1e-12
 RENORM_TOL = 1e-9
 
 
-def _prob_weights(weights: np.ndarray, *, positive: bool, name: str) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d array")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{name} must be finite")
-    if positive:
-        if np.any(w <= 0.0):
-            raise ValueError(f"{name} must be strictly positive")
-    elif np.any(w < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > RENORM_TOL:
-        raise ValueError(f"{name} must sum to 1, got {total!r}")
-    if abs(total - 1.0) > EPS:
-        w = w / total
-    return w
-
-
 def check_conformity(theta: float) -> float:
     theta = float(theta)
     if not (0.0 < theta <= 1.0):
@@ -74,9 +55,18 @@ class WeightedValues:
             raise ValueError("values must be a non-empty 1-d array")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        w = _prob_weights(np.asarray(weights), positive=True, name="weights")
+        w = np.asarray(weights, dtype=np.float64)
         if w.shape != v.shape:
             raise ValueError("values and weights must have matching length")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if np.any(w <= 0.0):
+            raise ValueError("weights must be strictly positive")
+        total = float(w.sum())
+        if abs(total - 1.0) > RENORM_TOL:
+            raise ValueError(f"weights must sum to 1, got {total!r}")
+        if abs(total - 1.0) > EPS:
+            w = w / total
         self.values = v
         self.weights = w
 
@@ -85,31 +75,6 @@ class WeightedValues:
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.weights))
-
-
-def conformity(pi, alpha) -> float:
-    """min_k alpha_k / pi_k, the level down to which ``pi`` stays feasible.
-
-    Entries with pi_k = 0 contribute +inf and drop out of the minimum.
-    """
-    p = _prob_weights(np.asarray(pi), positive=False, name="pi")
-    a = _prob_weights(np.asarray(alpha), positive=True, name="alpha")
-    if p.shape != a.shape:
-        raise ValueError("pi and alpha must have matching length")
-    ratios = np.full_like(a, np.inf)
-    mask = p > 0.0
-    ratios[mask] = a[mask] / p[mask]
-    return float(ratios.min())
-
-
-def in_feasible_set(pi, alpha, theta: float) -> bool:
-    """Whether pi_k <= alpha_k / theta for all k, up to EPS slack."""
-    p = _prob_weights(np.asarray(pi), positive=False, name="pi")
-    a = _prob_weights(np.asarray(alpha), positive=True, name="alpha")
-    theta = check_conformity(theta)
-    if p.shape != a.shape:
-        raise ValueError("pi and alpha must have matching length")
-    return bool(np.all(p <= a / theta + EPS))
 
 
 def _sorted_profile(wv: WeightedValues) -> tuple[np.ndarray, np.ndarray]:

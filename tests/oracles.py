@@ -256,3 +256,34 @@ def device_error_naive(kind: str, w, X, ys, num_classes: int = 2) -> float:
         if pred != int(y):
             wrong += 1
     return wrong / len(ys)
+
+
+def _log_softmax_reference(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def batch_grad_reference(spec, w, X, y) -> np.ndarray:
+    """Gradient of the mean loss over the batch, ridge term included, for a
+    tailfed LossSpec: the closed-form per-batch formula of each loss kind."""
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    w = np.asarray(w, dtype=np.float64)
+    expected = spec.num_classes * p if spec.kind == "multinomial_logistic" else p
+    if w.shape != (expected,):
+        raise ValueError(f"parameter vector must have shape ({expected},), got {w.shape}")
+    if spec.kind == "squared_distance":
+        grad = 2.0 * (w - X.mean(axis=0))
+    elif spec.kind == "binary_logistic":
+        yv = np.asarray(y, dtype=np.float64)
+        margins = yv * (X @ w)
+        # d/dm log(1+exp(-m)) = -sigmoid(-m)
+        sig = 1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))
+        grad = -(X * (yv * sig)[:, None]).mean(axis=0)
+    else:
+        W = w.reshape(spec.num_classes, p)
+        probs = np.exp(_log_softmax_reference(X @ W.T))
+        idx = np.asarray(y, dtype=np.int64)
+        probs[np.arange(n), idx] -= 1.0
+        grad = (probs.T @ X / n).reshape(-1)
+    return grad + spec.l2_reg * w

@@ -26,7 +26,7 @@ from tailfed import (
 from tailfed.federation import local_update
 from tailfed import models
 
-from oracles import fd_gradient
+from oracles import batch_grad_reference, fd_gradient
 
 
 def small_population(seed=2, num_devices=12):
@@ -98,7 +98,7 @@ def test_local_update_single_full_batch_is_one_gradient_step():
     cfg = base_config(batch_size=1000)  # one batch covers the shard
     w = np.array([0.1, -0.2, 0.3])
     got = local_update(shard, w, 0.25, cfg, np.random.default_rng(0))
-    want = w - 0.25 * models.device_grad(cfg.loss, w, shard)
+    want = w - 0.25 * batch_grad_reference(cfg.loss, w, shard.features, shard.labels)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -415,7 +415,8 @@ def test_am_population_objectives_agree_with_device_loss():
     for k, shard in enumerate(pop.shards):
         assert values[k] == pytest.approx(models.device_loss(spec, w, shard), rel=1e-12)
         e_k = np.eye(len(pop))[k]
-        assert np.allclose(objs.weighted_grad(w, e_k), models.device_grad(spec, w, shard), rtol=1e-12, atol=0)
+        want = batch_grad_reference(spec, w, shard.features, shard.labels)
+        assert np.allclose(objs.weighted_grad(w, e_k), want, rtol=1e-12, atol=0)
     assert np.array_equal(objs.weights, pop.weights)
 
 

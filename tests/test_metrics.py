@@ -1,4 +1,4 @@
-"""Metric tables, percentile summaries, and the CSV export."""
+"""Metric tables, percentile summaries, and the CSV summary writer."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from tailfed import (
     gen_hetero_logistic,
     percentile,
     summarize,
-    summary_export,
     table_from_population,
 )
+from tailfed.metrics import SummaryWriter
 
 
 def uniform_table(values, kind="train_loss"):
@@ -84,8 +84,6 @@ def test_summarize_keys_and_values():
     assert set(out) == {"mean", "p20", "p50", "p60", "p80", "p90", "p95"}
     assert out["mean"] == pytest.approx(2.5)
     assert out["p50"] == 2.0
-    custom = summarize(table, percentiles=(90,))
-    assert set(custom) == {"mean", "p90"}
 
 
 def test_table_from_population():
@@ -104,7 +102,9 @@ def test_summary_export_stable_header(tmp_path):
         {"theta": 0.5, "seed": 2, "p90": 0.5},
     ]
     path = tmp_path / "summary.csv"
-    summary_export(records, path)
+    with SummaryWriter(path) as out:
+        for rec in records:
+            out.write(rec)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "theta,seed,p90"
     assert len(lines) == 3
@@ -112,8 +112,7 @@ def test_summary_export_stable_header(tmp_path):
 
 
 def test_summary_export_rejects_ragged_records(tmp_path):
-    records = [{"a": 1}, {"b": 2}]
-    with pytest.raises(ValueError):
-        summary_export(records, tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        summary_export([], tmp_path / "y.csv")
+    with SummaryWriter(tmp_path / "x.csv") as out:
+        out.write({"a": 1})
+        with pytest.raises(ValueError, match="one key order"):
+            out.write({"b": 2})

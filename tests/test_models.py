@@ -9,13 +9,13 @@ from tailfed import (
     DeviceShard,
     LossSpec,
     device_error,
-    device_grad,
     device_loss,
     init_params,
     point_grad,
     point_loss,
 )
-from tailfed.models import predict
+from tailfed.data import PackedShards
+from tailfed.models import packed_errors, packed_local_sgd, packed_losses, packed_weighted_grad, predict
 
 from oracles import device_error_naive, device_loss_naive, fd_gradient, point_loss_naive
 
@@ -158,7 +158,7 @@ def test_device_grad_matches_fd():
         p = 3
         shard = make_shard(rng, spec, p, 7)
         w = rng.normal(size=init_params(spec, p).shape)
-        g = device_grad(spec, w, shard)
+        g = packed_weighted_grad(spec, w, PackedShards.from_shards([shard]), [1.0])
         fd = fd_gradient(lambda v: device_loss(spec, v, shard), w)
         assert float(np.linalg.norm(g - fd)) <= 1e-5 * max(1.0, float(np.linalg.norm(fd)))
 
@@ -223,6 +223,42 @@ def test_multinomial_label_out_of_range():
     spec = LossSpec("multinomial_logistic", num_classes=3)
     with pytest.raises(ValueError):
         point_loss(spec, np.zeros(6), np.array([1.0, 2.0]), 3)
+
+
+def test_point_grad_rejects_the_labels_point_loss_rejects():
+    spec = LossSpec("multinomial_logistic", num_classes=3)
+    w, x = np.zeros(6), np.array([1.0, 2.0])
+    for y in (-1, 3):
+        for fn in (point_loss, point_grad):
+            with pytest.raises(ValueError, match=r"class labels must lie in \[0, num_classes\)"):
+                fn(spec, w, x, y)
+
+
+def test_fractional_class_labels_are_rejected_not_truncated():
+    spec = LossSpec("multinomial_logistic", num_classes=3)
+    w, x = np.zeros(6), np.array([1.0, 2.0])
+    shard = DeviceShard("a", np.ones((2, 2)), np.array([0.5, 1.7]))
+    packed = PackedShards.from_shards([shard])
+    calls = [
+        lambda: point_loss(spec, w, x, 1.5),
+        lambda: point_grad(spec, w, x, 1.5),
+        lambda: device_loss(spec, w, shard),
+        lambda: device_error(spec, w, shard),
+        lambda: packed_losses(spec, w, packed),
+        lambda: packed_errors(spec, w, packed),
+        lambda: packed_weighted_grad(spec, w, packed, [1.0]),
+        lambda: packed_local_sgd(spec, w, packed, np.arange(2), [2], 0.1, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="class labels must be integers"):
+            call()
+    # Whole-valued floats still name their classes.
+    rng = np.random.default_rng(38)
+    X, v = rng.normal(size=(4, 2)), rng.normal(size=6)
+    ints = DeviceShard("a", X, np.array([0, 2, 1, 2]))
+    floats = DeviceShard("a", X, np.array([0.0, 2.0, 1.0, 2.0]))
+    assert device_loss(spec, v, floats) == device_loss(spec, v, ints)
+    assert device_error(spec, v, floats) == device_error(spec, v, ints)
 
 
 # ---------------------------------------------------------------------------

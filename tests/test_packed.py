@@ -1,7 +1,9 @@
-"""Packed population kernels against the per-shard functions and the naive oracles.
+"""Packed population kernels against the per-shard functions and the oracles.
 
-The packed kernels sum in a different order than the per-shard reference,
-so values are compared to 1e-12 relative to the largest entry compared.
+The gradient references (``batch_grad_reference`` and the loops built on
+it) live in tests/oracles.py and share no code with the package. The
+packed kernels sum in a different order than they do, so values are
+compared to 1e-12 relative to the largest entry compared.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from tailfed import DeviceShard, FederationConfig, LossSpec, Population, deltafl
 from tailfed.data import PackedShards, stream
 from tailfed.federation import local_update
 
-from oracles import device_error_naive, device_loss_naive
+from oracles import batch_grad_reference, device_error_naive, device_loss_naive
 
 REL = 1e-12
 KINDS = ("squared_distance", "binary_logistic", "multinomial_logistic")
@@ -83,8 +85,12 @@ def test_packed_errors_match_device_error_and_oracle(case):
 def test_packed_weighted_grad_matches_sum_of_device_grads(case):
     spec, pop, w, rng = case
     coeff = rng.uniform(0.0, 2.0, size=len(pop)) * (rng.random(len(pop)) < 0.7)
-    want = sum(c * models.device_grad(spec, w, s) for c, s in zip(coeff, pop.shards))
+    want = sum(c * batch_grad_reference(spec, w, s.features, s.labels) for c, s in zip(coeff, pop.shards))
     assert_close(models.packed_weighted_grad(spec, w, pop.packed, coeff), want)
+    # The one-example gradient is the same formula on a single row.
+    X, y = pop.packed.features, pop.packed.labels
+    for i in range(len(y)):
+        assert_close(models.point_grad(spec, w, X[i], y[i]), batch_grad_reference(spec, w, X[i : i + 1], y[i : i + 1]))
 
 
 def sgd_reference(spec, w, shard, order, lr, batch_size):
@@ -92,7 +98,7 @@ def sgd_reference(spec, w, shard, order, lr, batch_size):
     w = np.array(w, dtype=np.float64)
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
-        w = w - lr * models.batch_grad(spec, w, shard.features[idx], shard.labels[idx])
+        w = w - lr * batch_grad_reference(spec, w, shard.features[idx], shard.labels[idx])
     return w
 
 
@@ -166,7 +172,7 @@ def test_padded_steps_leave_a_finished_device_alone():
     w = np.array([0.3, -0.4])
     order, counts = flat_order(packed, [np.array([0]), np.arange(12)])
     got = models.packed_local_sgd(spec, w, packed, order, counts, 0.5, 4)
-    assert np.array_equal(got[0], w - 0.5 * models.batch_grad(spec, w, short.features, short.labels))
+    assert np.array_equal(got[0], w - 0.5 * batch_grad_reference(spec, w, short.features, short.labels))
     assert_close(got[1], sgd_reference(spec, w, long, np.arange(12), 0.5, 4))
 
 

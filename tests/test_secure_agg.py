@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tailfed.secure_agg
 from tailfed import (
+    AggregationTranscript,
     PinballSpec,
     audit_transcript,
     make_masked_aggregator,
@@ -90,15 +92,6 @@ def test_masked_is_deterministic_in_seed():
     assert np.array_equal(ta.payloads, tb.payloads)
 
 
-def test_huge_masks_still_cancel_to_float_precision():
-    rng = np.random.default_rng(42)
-    contribs = random_contributions(rng, n=2, dim=4)
-    plain = plain_weighted_sum(contribs)
-    masked, _ = masked_weighted_sum(contribs, pairwise_seed=7, mask_scale=1e6)
-    rel = np.linalg.norm(masked - plain) / max(np.linalg.norm(plain), 1e-30)
-    assert rel <= 1e-6
-
-
 def test_single_contributor_flagged_and_exact():
     v = np.array([2.0, -1.0])
     got, transcript = masked_weighted_sum([(v, 3.0)], pairwise_seed=1)
@@ -118,19 +111,35 @@ def test_masked_payloads_hide_raw_values():
 
 
 def test_audit_catches_plain_payloads():
-    # masking with scale ~0 would expose the raw weighted payloads
-    contribs = [(np.array([1.0, 2.0]), 1.0), (np.array([3.0, 4.0]), 1.0)]
-    _, transcript = masked_weighted_sum(contribs, pairwise_seed=3, mask_scale=1e-30)
+    contribs = [(np.array([1.0, 2.0]), 1.0), (np.array([3.0, 4.0]), 2.0)]
     # one payload row per client: the value channels plus the weight channel
-    assert transcript.payloads.shape == (2, 3)
-    report = audit_transcript(transcript, contribs)
+    _, masked = masked_weighted_sum(contribs, pairwise_seed=3)
+    assert masked.payloads.shape == (2, 3)
+    # Unmasked payloads are the raw [w * v, w] rows, which the audit must flag.
+    plain = AggregationTranscript(np.array([np.append(w * v, w) for v, w in contribs]))
+    report = audit_transcript(plain, contribs)
     assert report["leaked"]
+    assert report["min_relative_distance"] == 0.0
 
 
-def test_aggregator_factory_rotates_masks_but_not_results():
-    contribs = [(np.array([1.0, 5.0]), 1.0), (np.array([-2.0, 0.5]), 2.0)]
+def spy_on_masked_sums(monkeypatch):
+    """Record the transcript of every masked sum an aggregator runs."""
     transcripts = []
-    agg = make_masked_aggregator(pairwise_seed=17, transcripts=transcripts)
+    real = tailfed.secure_agg.masked_weighted_sum
+
+    def spy(*args, **kwargs):
+        result, transcript = real(*args, **kwargs)
+        transcripts.append(transcript)
+        return result, transcript
+
+    monkeypatch.setattr(tailfed.secure_agg, "masked_weighted_sum", spy)
+    return transcripts
+
+
+def test_aggregator_factory_rotates_masks_but_not_results(monkeypatch):
+    contribs = [(np.array([1.0, 5.0]), 1.0), (np.array([-2.0, 0.5]), 2.0)]
+    transcripts = spy_on_masked_sums(monkeypatch)
+    agg = make_masked_aggregator(pairwise_seed=17)
     r1 = agg(contribs)
     r2 = agg(contribs)
     assert np.allclose(r1, r2, rtol=1e-9)
@@ -139,13 +148,14 @@ def test_aggregator_factory_rotates_masks_but_not_results():
     assert not np.allclose(p1, p2)  # fresh sub-seed per call
 
 
-def test_aggregator_masks_differ_from_a_direct_masked_sum():
+def test_aggregator_masks_differ_from_a_direct_masked_sum(monkeypatch):
     # The aggregator's sub-seeds must not come from the direct sum's stream
     # of the same seed: a round's threshold step would then reuse its update
     # masks.
     contribs = [(np.array([1.0, 5.0]), 1.0), (np.array([-2.0, 0.5]), 2.0), (np.array([0.5, 0.5]), 1.5)]
-    transcripts = []
-    make_masked_aggregator(pairwise_seed=23, transcripts=transcripts)(contribs)
+    transcripts = spy_on_masked_sums(monkeypatch)
+    make_masked_aggregator(pairwise_seed=23)(contribs)
+    assert len(transcripts) == 1
     _, direct = masked_weighted_sum(contribs, pairwise_seed=23)
     for sent, own in zip(transcripts[0].payloads, direct.payloads):
         assert not np.allclose(sent, own)

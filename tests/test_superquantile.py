@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from tailfed import (
     WeightedValues,
-    conformity,
-    in_feasible_set,
     plus_objective,
     smoothed_device_coefficients,
     smoothed_eta_minimizers,
@@ -75,36 +73,6 @@ def test_weighted_values_rejects_bad_inputs():
 def test_weighted_values_renormalizes_small_drift():
     wv = WeightedValues([1.0, 2.0], [0.5 + 2e-10, 0.5])
     assert abs(float(wv.weights.sum()) - 1.0) <= 1e-15
-
-
-def test_conformity_examples():
-    alpha = np.array([1 / 3, 1 / 3, 1 / 3])
-    assert conformity(alpha, alpha) == pytest.approx(1.0)
-    assert conformity(np.array([1.0, 0.0, 0.0]), alpha) == pytest.approx(1 / 3)
-    assert conformity(np.array([0.5, 0.25, 0.25]), alpha) == pytest.approx(2 / 3)
-
-
-def test_feasible_set_examples():
-    alpha = np.array([1 / 3, 1 / 3, 1 / 3])
-    assert in_feasible_set(alpha, alpha, 0.7)
-    assert in_feasible_set(np.array([0.5, 0.5, 0.0]), alpha, 2 / 3)
-    assert not in_feasible_set(np.array([0.6, 0.4, 0.0]), alpha, 2 / 3)
-
-
-def test_feasibility_matches_conformity():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        a = rng.uniform(0.05, 1.0, size=n)
-        a /= a.sum()
-        p = rng.uniform(0.0, 1.0, size=n)
-        p /= p.sum()
-        theta = float(rng.uniform(0.05, 1.0))
-        feasible = in_feasible_set(p, a, theta)
-        c = conformity(p, a)
-        # skip knife-edge draws where the tolerance collar decides
-        if abs(c - theta) > 1e-9:
-            assert feasible == (c >= theta)
 
 
 # ---------------------------------------------------------------------------
