@@ -182,13 +182,8 @@ def _finite_losses(
     return losses
 
 
-def _sample_objective(losses: np.ndarray, weights: np.ndarray, theta: float) -> float:
-    return superquantile(WeightedValues(losses, weights), theta)
-
-
 def _round_threshold(
-    losses: np.ndarray,
-    sample_weights: np.ndarray,
+    reported: WeightedValues,
     cfg: FederationConfig,
     mask_seed: int | None,
     eta_override: float | None,
@@ -197,8 +192,8 @@ def _round_threshold(
         return float(eta_override)
     if cfg.eta_protocol == "secure_mm":
         agg = make_masked_aggregator(mask_seed) if cfg.aggregation == "masked" else None
-        return secure_quantile_for_round(losses, sample_weights, cfg.theta, aggregator=agg)
-    return weighted_quantile(WeightedValues(losses, sample_weights), cfg.theta)
+        return secure_quantile_for_round(reported.values, reported.weights, cfg.theta, aggregator=agg)
+    return weighted_quantile(reported, cfg.theta)
 
 
 def deltafl_round(
@@ -231,9 +226,12 @@ def deltafl_round(
     ids = pop.device_ids
     sampled_ids = [ids[k] for k in idx]
     losses = _finite_losses(cfg, w, sample, sampled_ids, t, "reported")
+    # One profile of the reported losses serves the threshold and
+    # pre_objective, so the losses are sorted at most once.
+    reported = WeightedValues(losses, sample_weights)
 
     if cfg.theta < 1.0:
-        eta = _round_threshold(losses, sample_weights, cfg, mask_seed, eta_override)
+        eta = _round_threshold(reported, cfg, mask_seed, eta_override)
         keep = losses >= eta - FILTER_SLACK
         if not keep.any():
             # No device reaches the threshold. A fresh quantile is one of these
@@ -259,8 +257,8 @@ def deltafl_round(
         sampled_ids=sampled_ids,
         eta=eta,
         filtered_ids=list(compress(sampled_ids, keep)),
-        pre_objective=_sample_objective(losses, sample_weights, cfg.theta),
-        post_objective=_sample_objective(post_losses, sample_weights, cfg.theta),
+        pre_objective=superquantile(reported, cfg.theta),
+        post_objective=superquantile(WeightedValues(post_losses, sample_weights), cfg.theta),
         update_norm=float(np.linalg.norm(w_next - w)),
     )
     return w_next, log

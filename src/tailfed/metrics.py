@@ -46,9 +46,8 @@ class DeviceMetricTable:
 
     def _profile(self) -> WeightedValues:
         if self.kind == "train_loss":
-            return WeightedValues(np.asarray(self.values), np.asarray(self.weights))
-        uniform = np.full(len(self), 1.0 / len(self))
-        return WeightedValues(np.asarray(self.values), uniform)
+            return WeightedValues(self.values, self.weights)
+        return WeightedValues(self.values, np.full(len(self), 1.0 / len(self)))
 
 
 def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
@@ -69,17 +68,24 @@ def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
 
 def percentile(table: DeviceMetricTable, tau: float) -> float:
     """tau-th percentile of the table's values under its summary weighting."""
+    return _percentile(table._profile(), tau)
+
+
+def _percentile(profile: WeightedValues, tau: float) -> float:
     if not (0.0 <= tau < 100.0):
         raise ValueError(f"percentile level must lie in [0, 100), got {tau!r}")
-    return weighted_quantile(table._profile(), 1.0 - tau / 100.0)
+    return weighted_quantile(profile, 1.0 - tau / 100.0)
 
 
 def summarize(table: DeviceMetricTable) -> dict[str, float]:
-    """Mean and the PERCENTILES as a flat dict: {"mean", "p20", ...}."""
+    """Mean and the PERCENTILES as a flat dict: {"mean", "p20", ...}.
+
+    All of them read one profile, so its values are sorted once.
+    """
     profile = table._profile()
     out = {"mean": profile.mean()}
     for tau in PERCENTILES:
-        out[f"p{int(tau)}"] = percentile(table, float(tau))
+        out[f"p{int(tau)}"] = _percentile(profile, float(tau))
     return out
 
 

@@ -44,10 +44,14 @@ class WeightedValues:
     """A finite distribution: values with strictly positive probability weights.
 
     Weights must sum to 1 within ``RENORM_TOL``; small drift is renormalized
-    on construction.
+    on construction. ``values`` and ``weights`` are read-only arrays that no
+    caller can write: an array passed in that the caller could still edit is
+    copied, while one that is already read-only and owns its memory (another
+    profile's, say) is taken as is. The profile sorted by value is built on
+    first use and kept; every threshold function reads that one view.
     """
 
-    __slots__ = ("values", "weights")
+    __slots__ = ("values", "weights", "_sorted")
 
     def __init__(self, values, weights) -> None:
         v = np.asarray(values, dtype=np.float64)
@@ -67,8 +71,9 @@ class WeightedValues:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         if abs(total - 1.0) > EPS:
             w = w / total
-        self.values = v
-        self.weights = w
+        self.values = _read_only(v, values)
+        self.weights = _read_only(w, weights)
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -77,11 +82,46 @@ class WeightedValues:
         return float(np.dot(self.values, self.weights))
 
 
+def _read_only(arr: np.ndarray, given) -> np.ndarray:
+    # arr is np.asarray(given) or computed from it. It is frozen without a
+    # copy when no one else can write it: made here (from a list, from an
+    # array of another dtype, or by renormalizing), or passed in already
+    # read-only and owning its memory, as another profile's arrays are.
+    made_here = arr is not given and isinstance(given, (np.ndarray, list, tuple))
+    frozen = arr is given and not arr.flags.writeable
+    if not (arr.flags.owndata and (made_here or frozen)):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, element for element, but faster.
+
+    The default (SIMD) argsort orders the values but not equal values among
+    themselves; each run of equal values (-0.0 and 0.0 are equal) is then put
+    back in original index order by sorting the keys run * n + index.
+    """
+    order = np.argsort(values)
+    s = values[order]
+    tied = s[1:] == s[:-1]
+    if not tied.any():
+        return order
+    run = np.concatenate(([0], np.cumsum(~tied)))
+    n = order.size
+    return np.sort(run * n + order) % n
+
+
 def _sorted_profile(wv: WeightedValues) -> tuple[np.ndarray, np.ndarray]:
-    # Stable sort keeps equal values in original order, which makes every
+    # Stable order keeps equal values in original order, which makes every
     # downstream tie decision deterministic.
-    order = np.argsort(wv.values, kind="stable")
-    return wv.values[order], wv.weights[order]
+    if wv._sorted is None:
+        order = _stable_order(wv.values)
+        x, a = wv.values[order], wv.weights[order]
+        x.setflags(write=False)
+        a.setflags(write=False)
+        wv._sorted = (x, a)
+    return wv._sorted
 
 
 def weighted_quantile(wv: WeightedValues, theta: float) -> float:
@@ -163,18 +203,20 @@ def smoothed_eta_minimizers(wv: WeightedValues, theta: float, nu: float) -> tupl
     breakpoints at every x_k and x_k - nu, so the minimizers lie between the
     last breakpoint where it is negative and the first where it is not.
 
-    The values are sorted once (stably) and the weights and weight x value
-    are summed as prefixes. Two ``searchsorted`` passes then give the slope
-    at every breakpoint c at once: the weight above c + nu counts fully, the
-    weight in (c, c + nu] counts (x_k - c)/nu. That locates the first
-    breakpoint with a nonnegative slope. Prefix sums round differently from
-    the exact slope, so the bracket is confirmed with
-    ``smoothed_objective_slope`` at the breakpoints next to it, walking left
-    or right while its sign says so. A flat stretch (slope exactly 0) ends at
-    the last breakpoint whose exact slope is still <= 0; otherwise the root
-    is interpolated on the one linear piece between the bracketing
-    breakpoints. The cost is O(n log n) plus a constant number of O(n) exact
-    slope evaluations, and O(n) memory.
+    It reads the profile's sorted view, which is built once per profile (a
+    stable order) and shared with ``weighted_quantile`` and ``superquantile``;
+    the profile's arrays are read-only, so the view cannot go stale. The
+    weights and weight x value are summed as prefixes. Two ``searchsorted``
+    passes then give the slope at every breakpoint c at once: the weight
+    above c + nu counts fully, the weight in (c, c + nu] counts
+    (x_k - c)/nu. That locates the first breakpoint with a nonnegative
+    slope. Prefix sums round differently from the exact slope, so the
+    bracket is confirmed with ``smoothed_objective_slope`` at the
+    breakpoints next to it, walking left or right while its sign says so. A
+    flat stretch (slope exactly 0) ends at the last breakpoint whose exact
+    slope is still <= 0; otherwise the root is interpolated on the one
+    linear piece between the bracketing breakpoints. The cost is O(n log n)
+    plus a constant number of O(n) exact slope evaluations, and O(n) memory.
 
     For theta = 1 the objective is flat on (-inf, min x - nu]; the right
     endpoint of that ray is returned as the canonical (degenerate) interval.

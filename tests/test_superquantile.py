@@ -20,7 +20,7 @@ from tailfed import (
     superquantile,
     weighted_quantile,
 )
-from tailfed.superquantile import check_conformity, check_smoothing
+from tailfed.superquantile import _stable_order, check_conformity, check_smoothing
 
 from oracles import (
     grid_eta_minimum,
@@ -73,6 +73,75 @@ def test_weighted_values_rejects_bad_inputs():
 def test_weighted_values_renormalizes_small_drift():
     wv = WeightedValues([1.0, 2.0], [0.5 + 2e-10, 0.5])
     assert abs(float(wv.weights.sum()) - 1.0) <= 1e-15
+
+
+def test_weighted_values_holds_read_only_copies():
+    values = np.array([3.0, 1.0, 2.0])
+    weights = np.full(3, 1.0 / 3.0)
+    wv = WeightedValues(values, weights)
+    for arr in (wv.values, wv.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the caller's arrays are neither frozen nor shared
+    assert values.flags.writeable and weights.flags.writeable
+    assert not np.shares_memory(wv.values, values)
+    assert not np.shares_memory(wv.weights, weights)
+    assert weighted_quantile(wv, 1.0) == 1.0
+    values[1] = -5.0
+    assert wv.values[1] == 1.0
+    assert weighted_quantile(wv, 1.0) == 1.0
+    # a profile's own arrays are taken as is; a read-only view of a writable
+    # array is still copied, since its owner can write it
+    again = WeightedValues(wv.values, wv.weights)
+    assert again.values is wv.values and again.weights is wv.weights
+    view = values.view()
+    view.setflags(write=False)
+    assert not np.shares_memory(WeightedValues(view, weights).values, values)
+
+
+# ---------------------------------------------------------------------------
+# the one sorted view of a profile
+
+@st.composite
+def tied_values(draw):
+    """Values with heavy ties: a few dyadic levels (with -0.0 beside 0.0),
+    one repeated value, or distinct lognormal draws."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 17, 64, 300, 1000, 5000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "equal", "distinct"]))
+    if kind == "distinct":
+        return rng.lognormal(size=n)
+    grid = np.array([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, -1.5, 2.0])
+    if kind == "equal":
+        return np.full(n, grid[draw(st.integers(0, grid.size - 1))])
+    return rng.choice(grid[: draw(st.integers(1, grid.size))], size=n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_values())
+@example(np.array([0.0, -0.0, 0.0, -0.0]))
+@example(np.array([-0.0, 0.0]))
+@example(np.array([7.0]))
+def test_stable_order_equals_the_stable_argsort(values):
+    assert np.array_equal(_stable_order(values), np.argsort(values, kind="stable"))
+
+
+def test_one_profile_is_sorted_once(monkeypatch):
+    # the package attribute tailfed.superquantile is the function of that name
+    module = importlib.import_module("tailfed.superquantile")
+    sorted_sizes = []
+    exact = module._stable_order
+
+    def counted(values):
+        sorted_sizes.append(values.size)
+        return exact(values)
+
+    monkeypatch.setattr(module, "_stable_order", counted)
+    wv = WeightedValues(np.random.default_rng(5).lognormal(size=1000), np.full(1000, 1e-3))
+    weighted_quantile(wv, 0.5)
+    superquantile(wv, 0.5)
+    smoothed_eta_star(wv, 0.5, 0.1)
+    assert sorted_sizes == [1000]
 
 
 # ---------------------------------------------------------------------------
