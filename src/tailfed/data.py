@@ -72,11 +72,17 @@ class PackedShards:
         sizes = self.sizes[idx]
         offsets = np.cumsum(sizes) - sizes
         rows = np.repeat(self.offsets[idx] - offsets, sizes) + np.arange(int(sizes.sum()))
-        return PackedShards(self.features[rows], self.labels[rows], offsets, sizes)
+        return PackedShards(np.take(self.features, rows, axis=0), np.take(self.labels, rows), offsets, sizes)
 
 
 @dataclass
 class Population:
+    """Device shards with sampling weights: the shards' weights, normalized.
+
+    Weights and ids are read from the shards once, on construction; the
+    population never writes its shards and does not follow later edits.
+    """
+
     shards: list[DeviceShard]
     feature_dim: int = 0
 
@@ -94,20 +100,24 @@ class Population:
         total = sum(s.weight for s in self.shards)
         if total <= 0.0:
             raise ValueError("device weights must have positive total mass")
+        weights = np.array([s.weight for s in self.shards], dtype=np.float64)
         if abs(total - 1.0) > EPS:
-            for s in self.shards:
-                s.weight = s.weight / total
+            weights = weights / total
+        weights.setflags(write=False)
+        self._weights = weights
+        self._device_ids = [s.device_id for s in self.shards]
 
     def __len__(self) -> int:
         return len(self.shards)
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([s.weight for s in self.shards], dtype=np.float64)
+        """The sampling weights in shard order, as one read-only array."""
+        return self._weights
 
     @property
     def device_ids(self) -> list[str]:
-        return [s.device_id for s in self.shards]
+        return list(self._device_ids)
 
     @cached_property
     def packed(self) -> PackedShards:
@@ -122,9 +132,7 @@ class Population:
 def weights_by_count(shards: list[DeviceShard]) -> Population:
     """Population whose device weights are proportional to shard sizes."""
     total = sum(len(s) for s in shards)
-    for s in shards:
-        s.weight = len(s) / total
-    return Population(shards)
+    return Population([DeviceShard(s.device_id, s.features, s.labels, len(s) / total) for s in shards])
 
 
 def stream(seed: int, *tags: int) -> np.random.Generator:
@@ -231,7 +239,7 @@ def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Populati
         shards = []
         for i in idx:
             s = pop.shards[i]
-            shards.append(DeviceShard(s.device_id, s.features, s.labels, s.weight))
+            shards.append(DeviceShard(s.device_id, s.features, s.labels, float(pop.weights[i])))
         return Population(shards)
 
     return _side(first), _side(second)

@@ -23,14 +23,10 @@ import numpy as np
 from . import models
 from .data import DeviceShard, PackedShards, Population, stream
 from .models import LossSpec
-from .secure_agg import (
-    make_masked_aggregator,
-    masked_weighted_sum,
-    plain_weighted_sum,
-    secure_quantile_for_round,
-)
+from .secure_agg import _weighted_mean, make_masked_aggregator, masked_weighted_sum, secure_quantile_for_round
 from .superquantile import (
     WeightedValues,
+    _stable_order,
     check_conformity,
     check_smoothing,
     plus_objective,
@@ -141,12 +137,12 @@ def _visiting_orders(cfg: FederationConfig, packed: PackedShards, rng: np.random
     if not cfg.local_epoch:
         return np.repeat(packed.offsets, n) + rng.integers(np.repeat(sizes, n)), np.full(sizes.size, n)
     device = np.repeat(np.arange(sizes.size), sizes)
-    return np.argsort(device + rng.random(device.size), kind="stable"), sizes
+    return _stable_order(device + rng.random(device.size)), sizes
 
 
-def _local_sgd(cfg: FederationConfig, w: np.ndarray, packed: PackedShards, order, counts, lr: float) -> np.ndarray:
-    batch_size = cfg.batch_size if cfg.local_epoch else 1
-    return models.packed_local_sgd(cfg.loss, w, packed, order, counts, lr, batch_size)
+def _batch_size(cfg: FederationConfig) -> int:
+    # Point mode takes single-example steps.
+    return cfg.batch_size if cfg.local_epoch else 1
 
 
 def local_update(
@@ -164,7 +160,8 @@ def local_update(
     drawn from rng as a round draws from its stream, with the same kernel.
     """
     packed = PackedShards.from_shards([shard])
-    return _local_sgd(cfg, w, packed, *_visiting_orders(cfg, packed, rng), lr)[0]
+    order, counts = _visiting_orders(cfg, packed, rng)
+    return models.packed_local_sgd(cfg.loss, w, packed, order, counts, lr, _batch_size(cfg))[0]
 
 
 def _finite_losses(
@@ -179,6 +176,8 @@ def _finite_losses(
         raise FloatingPointError(
             f"round {t} diverged: device {sampled_ids[k]!r} has a non-finite {which} loss ({float(losses[k])})"
         )
+    # Read-only, so that a WeightedValues takes the array without a copy.
+    losses.setflags(write=False)
     return losses
 
 
@@ -214,8 +213,9 @@ def deltafl_round(
     device's visiting order, then the mask seed.
     """
     rng = stream(cfg.seed, 2, t)
-    # Uniform sampling with replacement; duplicates collapse to one slot.
-    idx = sorted({int(i) for i in rng.integers(0, len(pop), size=cfg.devices_per_round)})
+    # Uniform sampling with replacement; duplicates collapse to one slot. A
+    # count sorts them: np.unique's first call adds ~1.7 MB of peak memory.
+    idx = np.flatnonzero(np.bincount(rng.integers(0, len(pop), size=cfg.devices_per_round), minlength=len(pop)))
     sample = pop.packed.select(idx)
     # Orders come before filtering, so a survivor's order does not depend on who
     # else survived, and before the mask seed, so plain and masked rounds agree.
@@ -223,8 +223,9 @@ def deltafl_round(
     mask_seed = int(rng.integers(1 << 62)) if cfg.aggregation == "masked" else None
     weights = pop.weights[idx]
     sample_weights = weights / weights.sum()
+    sample_weights.setflags(write=False)  # as the losses: profiles take it as is
     ids = pop.device_ids
-    sampled_ids = [ids[k] for k in idx]
+    sampled_ids = [ids[k] for k in idx.tolist()]
     losses = _finite_losses(cfg, w, sample, sampled_ids, t, "reported")
     # One profile of the reported losses serves the threshold and
     # pre_objective, so the losses are sorted at most once.
@@ -244,12 +245,15 @@ def deltafl_round(
         eta, keep = None, np.ones(len(idx), dtype=bool)
 
     # The sample trains as drawn, but a dropped device has no visits: it takes
-    # no step, and its row stays out of the aggregate.
+    # no step and has no row in the result. The orders were drawn here, so
+    # training skips the checks of packed_local_sgd.
     visits = np.repeat(keep, counts)
-    trained = _local_sgd(cfg, w, sample, order[visits], counts * keep, lr_schedule(cfg, t))[keep]
-    contributions = list(zip(trained, weights[keep]))
-    masked = cfg.aggregation == "masked"
-    w_next = masked_weighted_sum(contributions, mask_seed)[0] if masked else plain_weighted_sum(contributions)
+    lr = lr_schedule(cfg, t)
+    trained = models._local_sgd(cfg.loss, w, sample, order[visits], counts * keep, lr, _batch_size(cfg))
+    if cfg.aggregation == "masked":
+        w_next = masked_weighted_sum(list(zip(trained, weights[keep])), mask_seed)[0]
+    else:
+        w_next = _weighted_mean(trained, weights[keep])
 
     post_losses = _finite_losses(cfg, w_next, sample, sampled_ids, t, "post-round")
     log = RoundLog(

@@ -60,8 +60,8 @@ def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
         values = [values(s) for s in pop.shards]
     return DeviceMetricTable(
         kind=kind,
-        device_ids=[s.device_id for s in pop.shards],
-        weights=[s.weight for s in pop.shards],
+        device_ids=pop.device_ids,
+        weights=pop.weights.tolist(),
         values=list(values),
     )
 

@@ -217,29 +217,39 @@ def packed_local_sgd(
         raise ValueError(f"need one visit count per device ({len(packed)}), got shape {counts.shape}")
     if order.ndim != 1 or np.any(counts < 0) or counts.sum() != order.size:
         raise ValueError(f"visit counts must be nonnegative and sum to the flat order's length ({order.size})")
-    steps = -(-counts // batch_size)
-    k, num_steps = counts.size, int(steps.max(initial=0))
-    dev = np.repeat(np.arange(k), counts)
+    dev = np.repeat(np.arange(counts.size), counts)
     first = packed.offsets[dev]
     if np.any(order < first) or np.any(order >= first + packed.sizes[dev]):
         raise ValueError("visiting orders must index rows of their own device")
+    out = np.tile(w, (counts.size, 1))
+    out[counts > 0] = _local_sgd(spec, w, packed, order, counts, lr, batch_size)
+    return out
+
+
+def _local_sgd(spec: LossSpec, w: np.ndarray, packed, order, counts, lr: float, batch_size: int) -> np.ndarray:
+    # packed_local_sgd on arguments it has checked (or a round has drawn):
+    # the final parameters of the devices with visits only, in device order.
+    active = np.flatnonzero(counts)
+    steps = -(-counts[active] // batch_size)
     # Longest walks first, so the devices still walking at step s are a prefix.
     by_steps = np.argsort(-steps, kind="stable")
-    rank = np.argsort(by_steps)  # each device's position in by_steps
-    # Slot (rank, step, b) of the padded visit table holds a packed row index
-    # and that row's weight in its batch mean; padding weighs 0.
-    within = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    slot = rank[dev] * (num_steps * batch_size) + within
-    rows = np.zeros((k, num_steps, batch_size), dtype=np.int64)
-    rows.reshape(-1)[slot] = order
-    coeff = np.zeros((k, num_steps, batch_size))
-    coeff.reshape(-1)[slot] = 1.0
-    coeff /= np.maximum(coeff.sum(axis=2, keepdims=True), 1.0)
-    labels = _labels_for(spec, packed.labels)[rows]
-    walking = np.count_nonzero(steps[None, :] > np.arange(num_steps)[:, None], axis=1)
-    W = np.tile(w, (k, 1))
+    dev = active[by_steps]
+    n, start = counts[dev], (np.cumsum(counts) - counts)[dev]
+    num_steps = int(steps.max(initial=0))
+    # Step-major table: slot (s, j, b) holds the (s * batch_size + b)-th row
+    # walking device j visits, weighted 1/m in its batch of m rows. Padding
+    # points at packed row 0 and weighs 0; "clip" keeps its index in range.
+    pos = np.arange(num_steps * batch_size).reshape(num_steps, 1, batch_size)
+    filled = pos < n[:, None]
+    rows = np.where(filled, order.take(start[:, None] + pos, mode="clip"), 0)
+    left = n[:, None] - pos[..., :1]  # visits each device has left at step s
+    coeff = filled / np.maximum(np.minimum(left, batch_size), 1)
+    X = np.take(packed.features, rows, axis=0)
+    y = np.take(_labels_for(spec, packed.labels), rows)
+    walking = filled[:, :, 0].sum(axis=1).tolist()
+    W = np.tile(w, (n.size, 1))
     for s, a in enumerate(walking):
-        grad = _row_grads(spec, W[:a], X[rows[:a, s]], labels[:a, s], coeff[:a, s])
+        grad = _row_grads(spec, W[:a], X[s, :a], y[s, :a], coeff[s, :a])
         W[:a] -= lr * (grad + spec.l2_reg * W[:a])
     out = np.empty_like(W)
     out[by_steps] = W

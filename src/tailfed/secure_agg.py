@@ -61,10 +61,14 @@ def _check_contributions(contributions: Sequence[Contribution]) -> tuple[np.ndar
 
 def plain_weighted_sum(contributions: Sequence[Contribution]) -> np.ndarray:
     """Weighted average of the contributions, weights renormalized over the set."""
-    vectors, weights = _check_contributions(contributions)
-    # A running sum from zero, row by row in contribution order, as a loop
-    # adds them: .sum(axis=0) adds a single column pairwise, which changes
-    # the last bits of the result.
+    return _weighted_mean(*_check_contributions(contributions))
+
+
+def _weighted_mean(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # plain_weighted_sum of checked rows and weights; a round passes the
+    # matrix it trained. A running sum from zero, row by row in order, as a
+    # loop adds them: .sum(axis=0) adds a single column pairwise, which
+    # changes the last bits of the result.
     rows = np.vstack([np.zeros(vectors.shape[1]), weights[:, None] * vectors])
     return np.cumsum(rows, axis=0)[-1] / weights.sum()
 

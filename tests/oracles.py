@@ -287,3 +287,103 @@ def batch_grad_reference(spec, w, X, y) -> np.ndarray:
         probs[np.arange(n), idx] -= 1.0
         grad = (probs.T @ X / n).reshape(-1)
     return grad + spec.l2_reg * w
+
+
+# ---------------------------------------------------------------------------
+# a whole training run
+
+
+def _round_stream(seed: int, t: int) -> np.random.Generator:
+    # The round stream (tag 2, t) of the README's Reproducibility table.
+    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 2, t)))
+
+
+def run_reference(pop, cfg, algorithm: str = "deltafl"):
+    """``run_federated(pop, cfg, algorithm)`` from zeros, one device, batch and row at a time.
+
+    Written from the documentation of ``deltafl_round`` and ``run_federated``.
+    Round t draws from its stream, in order: ``devices_per_round`` uniform
+    device indices (duplicates collapse, the sample is sorted); then in epoch
+    mode one uniform key per row of the sample, device after device, each
+    device visiting its rows by (slot in the sample + key), a tie in row
+    order, or in point mode ``n_local`` uniform rows per device; then the
+    mask seed, if aggregation is masked. At theta < 1 the threshold is the
+    sample's (1-theta)-quantile, taken every ``eta_period`` rounds and kept
+    in between; devices at or above it train, or the worst device alone if
+    none is. fedavg is theta 1: no threshold, every sampled device trains.
+    Survivors run SGD from the round's parameters and are averaged under
+    their population weights, renormalized over the survivors. A masked
+    average equals the plain one up to roundoff, so it is not simulated.
+
+    Returns the final parameters and, per round, a dict of the round log's
+    fields (``sampled_ids``, ``eta``, ``filtered_ids``, ``pre_objective``,
+    ``post_objective``, ``update_norm``).
+    """
+    spec = cfg.loss
+    theta = 1.0 if algorithm == "fedavg" else cfg.theta
+    shards = pop.shards
+
+    def loss(w, shard):
+        return device_loss_naive(spec.kind, w, shard.features, shard.labels, spec.l2_reg, spec.num_classes)
+
+    w = np.zeros(spec.param_dim(pop.feature_dim))
+    eta = None
+    logs = []
+    for t in range(cfg.num_rounds):
+        rng = _round_stream(cfg.seed, t)
+        sample = sorted(set(int(k) for k in rng.integers(0, len(shards), size=cfg.devices_per_round)))
+        orders = []
+        if cfg.local_epoch:
+            keys = rng.random(sum(len(shards[k]) for k in sample))
+            first = 0
+            for slot, k in enumerate(sample):
+                n = len(shards[k])
+                orders.append(sorted(range(n), key=lambda i: slot + float(keys[first + i])))
+                first += n
+            batch = cfg.batch_size
+        else:
+            for k in sample:
+                orders.append([int(rng.integers(len(shards[k]))) for _ in range(cfg.n_local)])
+            batch = 1
+        if cfg.aggregation == "masked":
+            rng.integers(1 << 62)
+
+        weights = [float(pop.weights[k]) for k in sample]
+        total = sum(weights)
+        probs = [a / total for a in weights]
+        losses = [loss(w, shards[k]) for k in sample]
+        if theta < 1.0:
+            if t % cfg.eta_period == 0:
+                eta = quantile_naive(losses, probs, theta)
+            keep = [x >= eta - 1e-12 for x in losses]
+            if not any(keep):
+                keep[losses.index(max(losses))] = True
+        else:
+            eta, keep = None, [True] * len(sample)
+
+        lr = cfg.lr0 * cfg.lr_decay ** (t // cfg.lr_decay_every)
+        num, den = np.zeros_like(w), 0.0
+        for k, order, a, kept in zip(sample, orders, weights, keep):
+            if not kept:
+                continue
+            v = w.copy()
+            for start in range(0, len(order), batch):
+                rows = order[start : start + batch]
+                v = v - lr * batch_grad_reference(spec, v, shards[k].features[rows], shards[k].labels[rows])
+            num = num + a * v
+            den += a
+        w_next = num / den
+
+        ids = [shards[k].device_id for k in sample]
+        logs.append(
+            {
+                "sampled_ids": ids,
+                "eta": eta,
+                "filtered_ids": [d for d, kept in zip(ids, keep) if kept],
+                "pre_objective": tail_average_naive(losses, probs, theta),
+                "post_objective": tail_average_naive([loss(w_next, shards[k]) for k in sample], probs, theta),
+                "update_norm": float(np.linalg.norm(w_next - w)),
+            }
+        )
+        w = w_next
+    return w, logs

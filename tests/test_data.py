@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tailfed import (
     DeviceShard,
     Population,
+    WeightedValues,
     gen_gaussian_mixture,
     gen_hetero_logistic,
     load_devices_jsonl,
@@ -35,6 +36,16 @@ def test_population_normalizes_weights():
     pop = Population(shards)
     assert pop.weights == pytest.approx([0.25, 0.75])
     assert pop.feature_dim == 2
+
+
+def test_population_leaves_its_shards_alone():
+    shards = [DeviceShard(d, np.zeros((1, 2)), np.zeros(1), weight=1.0) for d in "ab"]
+    pop = Population(shards)
+    Population(shards[:1])
+    weights_by_count(shards)
+    assert pop.weights.tolist() == [0.5, 0.5]
+    WeightedValues(np.zeros(2), pop.weights)  # a profile takes the weights as they are
+    assert [s.weight for s in shards] == [1.0, 1.0]
 
 
 def test_population_rejects_mixed_dims():

@@ -145,7 +145,7 @@ def test_survivor_order_does_not_depend_on_who_else_survived(monkeypatch, local_
     cfg = base_config(theta=0.5, local_epoch=local_epoch, n_local=4, batch_size=3)
     w = np.full(3, 0.2)
     captured = []
-    kernel = models.packed_local_sgd
+    kernel = models._local_sgd  # the round trains through the unchecked core
 
     def capture(spec, w, packed, order, counts, lr, batch_size):
         # Each device's visits (rows of the sample's packed view), keyed by its
@@ -154,7 +154,7 @@ def test_survivor_order_does_not_depend_on_who_else_survived(monkeypatch, local_
         captured.append({k: order[e - c : e] for k, (c, e) in enumerate(zip(counts, ends)) if c})
         return kernel(spec, w, packed, order, counts, lr, batch_size)
 
-    monkeypatch.setattr(models, "packed_local_sgd", capture)
+    monkeypatch.setattr(models, "_local_sgd", capture)
     _, fresh = deltafl_round(pop, w, cfg, t=4)
     _, everyone = deltafl_round(pop, w, cfg, t=4, eta_override=0.0)  # every loss is positive
     assert set(fresh.filtered_ids) < set(everyone.filtered_ids) == set(everyone.sampled_ids)

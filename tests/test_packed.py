@@ -8,12 +8,12 @@ compared to 1e-12 relative to the largest entry compared.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailfed import DeviceShard, FederationConfig, LossSpec, Population, deltafl_round, lr_schedule, models
 from tailfed.data import PackedShards, stream
-from tailfed.federation import local_update
+from tailfed.federation import _visiting_orders, local_update
 
 from oracles import batch_grad_reference, device_error_naive, device_loss_naive
 
@@ -159,6 +159,43 @@ def test_select_packs_the_chosen_shards_in_order(case):
     want = PackedShards.from_shards([pop.shards[k] for k in devices])
     for field in ("features", "labels", "offsets", "sizes"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+class _Keys:
+    """Stands in for a round stream whose next uniform draws are the given keys."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def random(self, size):
+        assert size == self.keys.size
+        return self.keys
+
+
+# Keys that tie once a device index is added: from device 1 on, 0.5 and the
+# float above it round to one sum, as do 0.75 and the float below it; the
+# float below 1 rounds onto the next device's key 0.
+TIE_KEYS = [0.0, 0.5, float(np.nextafter(0.5, 1.0)), 0.75, float(np.nextafter(0.75, 0.0)), float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def sizes_and_keys(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    key = st.one_of(st.sampled_from(TIE_KEYS), st.floats(0.0, 1.0, exclude_max=True))
+    return sizes, draw(st.lists(key, min_size=sum(sizes), max_size=sum(sizes)))
+
+
+@SETTINGS
+@given(sizes_and_keys())
+@example(([1, 3, 2], [0.5, TIE_KEYS[5], 0.5, TIE_KEYS[2], 0.0, 0.5]))
+def test_epoch_visiting_orders_are_the_stable_argsort(case):
+    sizes, keys = case
+    keys = np.array(keys)
+    packed = PackedShards.from_shards([DeviceShard(f"d{k}", np.zeros((n, 1)), np.zeros(n)) for k, n in enumerate(sizes)])
+    order, counts = _visiting_orders(FederationConfig(), packed, _Keys(keys))
+    device = np.repeat(np.arange(len(sizes)), sizes)
+    assert np.array_equal(order, np.argsort(device + keys, kind="stable"))
+    assert np.array_equal(counts, sizes)
 
 
 def test_padded_steps_leave_a_finished_device_alone():
