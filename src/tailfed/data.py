@@ -79,14 +79,15 @@ class PackedShards:
 class Population:
     """Device shards with sampling weights: the shards' weights, normalized.
 
-    Weights and ids are read from the shards once, on construction; the
-    population never writes its shards and does not follow later edits.
+    The shards are held as a tuple and their weights and ids read once, on
+    construction; the population never writes its shards or follows edits.
     """
 
-    shards: list[DeviceShard]
+    shards: tuple[DeviceShard, ...]
     feature_dim: int = 0
 
     def __post_init__(self) -> None:
+        self.shards = tuple(self.shards)
         if not self.shards:
             raise ValueError("population needs at least one device")
         dims = {s.features.shape[1] for s in self.shards}

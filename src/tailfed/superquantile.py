@@ -48,23 +48,24 @@ class WeightedValues:
     caller can write: an array passed in that the caller could still edit is
     copied, while one that is already read-only and owns its memory (another
     profile's, say) is taken as is. The profile sorted by value is built on
-    first use and kept; every threshold function reads that one view.
+    first use and kept, with its prefix sums; every threshold function reads
+    that one view.
     """
 
-    __slots__ = ("values", "weights", "_sorted")
+    __slots__ = ("values", "weights", "_sorted", "_moment")
 
     def __init__(self, values, weights) -> None:
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("values must be finite")
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != v.shape:
             raise ValueError("values and weights must have matching length")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if np.any(w <= 0.0):
+        if (w <= 0.0).any():
             raise ValueError("weights must be strictly positive")
         total = float(w.sum())
         if abs(total - 1.0) > RENORM_TOL:
@@ -73,7 +74,8 @@ class WeightedValues:
             w = w / total
         self.values = _read_only(v, values)
         self.weights = _read_only(w, weights)
-        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
+        self._sorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._moment: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -112,16 +114,24 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return np.sort(run * n + order) % n
 
 
-def _sorted_profile(wv: WeightedValues) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_profile(wv: WeightedValues) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Stable order keeps equal values in original order, which makes every
-    # downstream tie decision deterministic.
+    # downstream tie decision deterministic. mass[j] is the weight of the j
+    # smallest values.
     if wv._sorted is None:
         order = _stable_order(wv.values)
         x, a = wv.values[order], wv.weights[order]
-        x.setflags(write=False)
-        a.setflags(write=False)
-        wv._sorted = (x, a)
+        mass = np.concatenate(([0.0], np.cumsum(a)))
+        for arr in (x, a, mass):
+            arr.setflags(write=False)
+        wv._sorted = (x, a, mass)
     return wv._sorted
+
+
+def _quantile_index(mass: np.ndarray, theta: float) -> int:
+    # EPS slack absorbs cumulative-sum dust at exact-tie boundaries.
+    j = int(np.searchsorted(mass[1:], (1.0 - theta) - EPS, side="left"))
+    return min(j, mass.size - 2)
 
 
 def weighted_quantile(wv: WeightedValues, theta: float) -> float:
@@ -130,12 +140,8 @@ def weighted_quantile(wv: WeightedValues, theta: float) -> float:
     theta = 1 returns the minimum value.
     """
     theta = check_conformity(theta)
-    x, a = _sorted_profile(wv)
-    cum = np.cumsum(a)
-    # EPS slack absorbs cumulative-sum dust at exact-tie boundaries.
-    j = int(np.searchsorted(cum, (1.0 - theta) - EPS, side="left"))
-    j = min(j, x.size - 1)
-    return float(x[j])
+    x, _, mass = _sorted_profile(wv)
+    return float(x[_quantile_index(mass, theta)])
 
 
 def superquantile(wv: WeightedValues, theta: float) -> float:
@@ -203,20 +209,24 @@ def smoothed_eta_minimizers(wv: WeightedValues, theta: float, nu: float) -> tupl
     breakpoints at every x_k and x_k - nu, so the minimizers lie between the
     last breakpoint where it is negative and the first where it is not.
 
-    It reads the profile's sorted view, which is built once per profile (a
-    stable order) and shared with ``weighted_quantile`` and ``superquantile``;
-    the profile's arrays are read-only, so the view cannot go stale. The
-    weights and weight x value are summed as prefixes. Two ``searchsorted``
-    passes then give the slope at every breakpoint c at once: the weight
-    above c + nu counts fully, the weight in (c, c + nu] counts
-    (x_k - c)/nu. That locates the first breakpoint with a nonnegative
-    slope. Prefix sums round differently from the exact slope, so the
-    bracket is confirmed with ``smoothed_objective_slope`` at the
-    breakpoints next to it, walking left or right while its sign says so. A
-    flat stretch (slope exactly 0) ends at the last breakpoint whose exact
-    slope is still <= 0; otherwise the root is interpolated on the one
-    linear piece between the bracketing breakpoints. The cost is O(n log n)
-    plus a constant number of O(n) exact slope evaluations, and O(n) memory.
+    Those lie near q, the (1-theta)-quantile: below q - nu the slope is
+    negative, since the weight of x >= q (more than theta) counts in full,
+    and from q up it is at least -EPS/theta. So the search takes a window:
+    the breakpoints in [q - nu, q + nu], two more beyond each end, and all
+    between its ends. The profile's prefix sums of weight and weight x value
+    give the slope at each window breakpoint c (the weight above c + nu
+    counts fully, the weight in (c, c + nu] counts (x_k - c)/nu), and so the
+    first one with a nonnegative slope. Prefix sums round differently from
+    the exact slope, so that bracket is confirmed with
+    ``smoothed_objective_slope`` at its neighbours, walking while its sign
+    says so; the exact slope rounds monotonically in eta, so the walks end
+    at the same breakpoints from any start. A flat stretch (slope exactly 0)
+    ends at the last breakpoint whose exact slope is still <= 0; otherwise
+    the root is interpolated on the one linear piece between the bracketing
+    breakpoints. A walk that reaches an open end of the window widens the
+    search to all ~2n breakpoints, reusing the exact slopes taken. Past the
+    sort and prefix sums, a solve costs O(log n), the window's size and a
+    constant number of O(n) exact slopes.
 
     For theta = 1 the objective is flat on (-inf, min x - nu]; the right
     endpoint of that ray is returned as the canonical (degenerate) interval.
@@ -226,37 +236,56 @@ def smoothed_eta_minimizers(wv: WeightedValues, theta: float, nu: float) -> tupl
     if theta == 1.0:
         lo = float(wv.values.min() - nu)
         return (lo, lo)
-    x, a = _sorted_profile(wv)
-    cand = np.unique(np.concatenate([x, x - nu]))
-    mass = np.concatenate(([0.0], np.cumsum(a)))
-    moment = np.concatenate(([0.0], np.cumsum(a * x)))
-    below = np.searchsorted(x, cand, side="right")
-    ramp_end = np.searchsorted(x, cand + nu, side="right")
-    ramp = (moment[ramp_end] - moment[below] - cand * (mass[ramp_end] - mass[below])) / nu
-    approx = 1.0 - (mass[-1] - mass[ramp_end] + ramp) / theta
+    x, a, mass = _sorted_profile(wv)
+    if wv._moment is None:
+        wv._moment = np.concatenate(([0.0], np.cumsum(a * x)))
+        wv._moment.setflags(write=False)
+    moment, n = wv._moment, x.size
 
     @functools.cache
-    def slope(j: int) -> float:
-        return smoothed_objective_slope(wv, theta, nu, float(cand[j]))
+    def slope(c: float) -> float:
+        return smoothed_objective_slope(wv, theta, nu, c)
 
-    # The slope is 1 - 1/theta < 0 at min(x) - nu and exactly 1 at max(x),
-    # the last breakpoint, so the walks below stay inside cand.
-    k = int(np.argmax(approx >= 0.0))
-    while slope(k) < 0.0:
-        k += 1
-    while k > 0 and slope(k - 1) >= 0.0:
-        k -= 1
-    a_end = float(cand[k])
-    if slope(k) > 0.0:
-        # Unique root strictly between the bracketing breakpoints; the slope
-        # is linear there.
-        b_end, slope_a, slope_b = float(cand[k - 1]), slope(k), slope(k - 1)
-        root = b_end + (-slope_b) * (a_end - b_end) / (slope_a - slope_b)
-        return (root, root)
-    j = k
-    while j + 1 < cand.size and slope(j + 1) <= 0.0:
-        j += 1
-    return (a_end, float(cand[j]))
+    def bracket(cand: np.ndarray, open_lo: bool, open_hi: bool) -> tuple[float, float] | None:
+        below = np.searchsorted(x, cand, side="right")
+        ramp_end = np.searchsorted(x, cand + nu, side="right")
+        ramp = (moment[ramp_end] - moment[below] - cand * (mass[ramp_end] - mass[below])) / nu
+        nonneg = 1.0 - (mass[-1] - mass[ramp_end] + ramp) / theta >= 0.0
+        # Over all breakpoints the slope is 1 - 1/theta < 0 at the first,
+        # min(x) - nu, and exactly 1 at the last, max(x).
+        k = int(np.argmax(nonneg)) if nonneg.any() else cand.size - 1
+        while k < cand.size and slope(float(cand[k])) < 0.0:
+            k += 1
+        while 0 < k < cand.size and slope(float(cand[k - 1])) >= 0.0:
+            k -= 1
+        if k == cand.size or (k == 0 and open_lo):
+            return None
+        a_end = float(cand[k])
+        if slope(a_end) > 0.0:
+            # Unique root strictly between the bracketing breakpoints; the
+            # slope is linear there.
+            b_end = float(cand[k - 1])
+            root = b_end + (-slope(b_end)) * (a_end - b_end) / (slope(a_end) - slope(b_end))
+            return (root, root)
+        j = k
+        while j + 1 < cand.size and slope(float(cand[j + 1])) <= 0.0:
+            j += 1
+        if j + 1 == cand.size and open_hi:
+            return None
+        return (a_end, float(cand[j]))
+
+    q = x[_quantile_index(mass, theta)]
+    i0, j0 = np.maximum(np.searchsorted(x, (q - nu, q), side="left") - 2, 0)
+    i1, j1 = np.minimum(np.searchsorted(x, (q + nu, q + 2.0 * nu), side="right") + 2, n)
+    near, shifted = x[i0:i1], x[j0:j1] - nu
+    lo_end = max(near[0] if i0 else -np.inf, shifted[0] if j0 else -np.inf)
+    hi_end = min(near[-1] if i1 < n else np.inf, shifted[-1] if j1 < n else np.inf)
+    cand = np.sort(np.concatenate([near, shifted]), kind="stable")
+    cand = cand[(cand >= lo_end) & (cand <= hi_end)]
+    # Repeats are harmless; -0.0 beside 0.0 is not, as np.unique's pick varies.
+    signed_zero = cand[0] <= 0.0 <= cand[-1] and np.signbit(x[x == 0.0]).any()
+    windowed = not signed_zero and bracket(cand, i0 + j0 > 0, i1 + j1 < 2 * n)
+    return windowed or bracket(np.unique(np.concatenate([x, x - nu])), False, False)
 
 
 def smoothed_eta_star(wv: WeightedValues, theta: float, nu: float) -> float:

@@ -48,6 +48,17 @@ def test_population_leaves_its_shards_alone():
     assert [s.weight for s in shards] == [1.0, 1.0]
 
 
+def test_population_shards_cannot_grow_after_construction():
+    # weights, ids and the packed view are read on construction, so a shard
+    # added later would be a device with no weight
+    shards = [DeviceShard(d, np.zeros((1, 2)), np.zeros(1)) for d in "ab"]
+    pop = Population(shards)
+    with pytest.raises(AttributeError):
+        pop.shards.append(DeviceShard("c", np.zeros((1, 2)), np.zeros(1)))
+    shards.append(DeviceShard("c", np.zeros((1, 2)), np.zeros(1)))
+    assert len(pop) == pop.weights.size == len(pop.device_ids) == 2
+
+
 def test_population_rejects_mixed_dims():
     shards = [
         DeviceShard("a", np.zeros((1, 2)), np.zeros(1)),

@@ -569,6 +569,111 @@ def test_eta_minimizers_make_a_constant_number_of_exact_slope_calls(monkeypatch,
     assert 1 <= len(calls) <= 8
 
 
+@st.composite
+def window_profiles(draw):
+    """(values, weights, theta, nu) whose minimizers sit at or past the edges
+    of the search window around the quantile q, [q - nu, q + nu].
+
+    "narrow" and "wide" draw nu far below the value spacing and far above
+    the spread; "clusters" puts theta on the weight of a far cluster, so a
+    flat stretch runs from q to far right of it; "low_end" makes the
+    smallest value q heavy and theta near 1, so the root sits near q - nu;
+    "high_end" sets theta just under the weight above q, inside the
+    quantile's EPS slack, so the slope stays negative past q and crosses
+    zero near the next value up, or further up past values of tiny weight,
+    where the search has to widen; "ties" stacks equal values at q; "zeros"
+    mixes -0.0 and 0.0 with values equal to a dyadic nu, so x - nu lands
+    on 0.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 40, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["narrow", "wide", "clusters", "low_end", "high_end", "ties", "zeros"]))
+    nu = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    theta = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    raw = rng.uniform(0.05, 1.0, size=n) if draw(st.booleans()) else np.ones(n)
+    if kind == "narrow":
+        values, nu = rng.lognormal(size=n), 1e-6
+    elif kind == "wide":
+        values, nu = rng.normal(size=n), 1e3
+    elif kind == "clusters":
+        far = draw(st.integers(1, max(1, n - 1)))
+        values = rng.normal(size=n) * 0.01
+        values[n - far :] += 100.0
+    elif kind == "low_end":
+        values = rng.normal(size=n)
+        raw[np.argmin(values)] = 10.0 * n
+        theta = draw(st.sampled_from([0.99, 0.999999]))
+    elif kind == "high_end":
+        values = np.sort(rng.integers(-20, 40, size=n)) * 0.5
+        nu = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0, 3.0]))
+    elif kind == "ties":
+        values = np.where(rng.random(n) < 0.6, 1.0, rng.normal(size=n))
+    else:
+        nu = draw(st.sampled_from([0.25, 0.5]))
+        values = rng.choice(np.array([-0.0, 0.0, nu, -nu, 2.0 * nu]), size=n)
+    weights = raw / raw.sum()
+    if kind == "clusters":
+        theta = float(min(1.0, weights[n - far :].sum()))
+    elif kind == "high_end" and n > 1:
+        # just under the weight of the m largest values, inside the
+        # quantile's slack; the first t of them weigh 2e-13 each, so the
+        # slope stays below 0 until eta passes the t-th (often past the
+        # window once t > 2)
+        m = draw(st.integers(1, n - 1))
+        t = draw(st.integers(0, min(m - 1, 5)))
+        weights[n - m : n - m + t] = 2e-13
+        weights /= weights.sum()
+        theta = float(weights[n - m :].sum()) - 0.5e-12
+    return values, weights, theta, nu
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(window_profiles())
+@example(([-0.0, 0.0, 0.5, 0.5], [0.25] * 4, 0.5, 0.5))
+@example(([0.0, -0.0, 0.25, -0.25], [0.4, 0.3, 0.2, 0.1], 0.75, 0.25))
+@example(([0.0, 0.01, 100.0, 100.01], [0.25] * 4, 0.5, 1e-3))
+def test_windowed_eta_minimizers_equal_the_breakpoint_oracle(case):
+    values, weights, theta, nu = case
+    wv = WeightedValues(values, weights)
+    want = smoothed_eta_minimizers_naive(wv.values, wv.weights, theta, nu)
+    assert smoothed_eta_minimizers(wv, theta, nu) == want
+
+
+@pytest.mark.parametrize(
+    "values, weights, theta, nu, window_end",
+    [
+        # a crossing near 29.5, in the ramp of 30, once 10 and 20 are passed
+        ([0.0, 10.0, 20.0, 30.0, 40.0], [0.5 - 5e-13, 2e-13, 2e-13, 2e-13, 0.5 - 1e-13], 0.5, 1.0, 19.0),
+        # a flat stretch [20, 29] that starts at the window's last breakpoint
+        ([0.0, 1.5, 20.0, 30.0], [0.5 - 5e-13, 2e-13, 3e-13, 0.5], 0.5, 1.0, 20.0),
+        # a crossing between 12.5 = 15.5 - nu and 15 = 18 - nu; the window
+        # holds 15.5 but not 15, so it has to end at 12.5
+        ([-9.0, 0.0, 15.5, 18.0], [0.4, 3e-13, 3e-13, 0.6 - 6e-13], 0.6 - 5e-13, 3.0, 12.5),
+    ],
+)
+def test_minimizers_past_the_window_widen_it_with_few_exact_slopes(monkeypatch, values, weights, theta, nu, window_end):
+    # q is the smallest value: its cumulative weight is within the quantile's
+    # EPS slack of 1 - theta, while the weight above it exceeds theta by a
+    # few 1e-13, so values weighing 2e-13 or 3e-13 keep the slope below 0
+    # far past q + nu. The answer lies past window_end, the last breakpoint
+    # of the window around q, so the search must widen to every breakpoint.
+    module = importlib.import_module("tailfed.superquantile")
+    wv = WeightedValues(values, weights)
+    etas = []
+    exact = module.smoothed_objective_slope
+
+    def counted(*args):
+        etas.append(args[-1])
+        return exact(*args)
+
+    monkeypatch.setattr(module, "smoothed_objective_slope", counted)
+    lo, hi = module.smoothed_eta_minimizers(wv, theta, nu)
+    assert (lo, hi) == smoothed_eta_minimizers_naive(wv.values, wv.weights, theta, nu)
+    assert hi > window_end
+    assert 1 <= len(etas) <= 8
+    assert max(etas) > window_end
+
+
 # ---------------------------------------------------------------------------
 # device coefficients
 

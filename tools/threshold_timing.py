@@ -5,8 +5,9 @@ Usage::
     PYTHONPATH=<path to a tailfed src/> python3 tools/threshold_timing.py
 
 For n = 10^4 and 10^5 values (lognormal, as in perfbench's threshold
-workload, with random weights) and smoothing widths nu = 1e-3 and 2, at
-theta 0.5, prints the median wall time of 7 repeats of two things:
+workload, with random weights) and smoothing widths nu = 1e-3 (the
+workload's), 0.1 (am-meta's) and 2 (about the profile's spread), at theta
+0.5, prints the median wall time of 7 repeats of two things:
 
 - ``solve``: one ``smoothed_eta_star`` on a freshly built ``WeightedValues``
 - ``op``: one threshold operation, ``weighted_quantile``, ``superquantile``
@@ -32,7 +33,7 @@ import numpy as np
 import tailfed
 
 SIZES = (10**4, 10**5)
-WIDTHS = (1e-3, 2.0)
+WIDTHS = (1e-3, 0.1, 2.0)
 THETA = 0.5
 REPEATS = 7
 
