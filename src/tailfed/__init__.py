@@ -2,7 +2,6 @@
 
 from .data import (
     DeviceShard,
-    PackedShards,
     Population,
     gen_gaussian_mixture,
     gen_hetero_logistic,

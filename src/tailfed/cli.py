@@ -275,8 +275,9 @@ def _build_population(cfg: ExperimentConfig, seed: int) -> Population:
     data = cfg.data
     if "device_file" in data:
         pop = load_devices_jsonl(data["device_file"])
-        for s in pop.shards:
-            _check_labels(cfg.loss, s.labels.tolist(), f"device {s.device_id!r} of {data['device_file']}")
+        labels, ends = pop.labels.tolist(), (pop.offsets + pop.sizes).tolist()
+        for dev, a, b in zip(pop.device_ids, pop.offsets.tolist(), ends):
+            _check_labels(cfg.loss, labels[a:b], f"device {dev!r} of {data['device_file']}")
         return pop
     data_seed = data.get("seed")
     root = int(data_seed) if data_seed is not None else seed
@@ -296,15 +297,11 @@ def _final_metrics(
     cfg: ExperimentConfig, params: np.ndarray, train: Population, test: Population | None
 ) -> dict[str, float]:
     out: dict[str, float] = {}
-    table = metrics_mod.table_from_population(
-        train, "train_loss", models.packed_losses(cfg.loss, params, train.packed)
-    )
+    table = metrics_mod.table_from_population(train, "train_loss", models.packed_losses(cfg.loss, params, train))
     for key, val in metrics_mod.summarize(table).items():
         out[f"train_loss_{key}"] = val
     if test is not None and cfg.loss.kind != "squared_distance":
-        etable = metrics_mod.table_from_population(
-            test, "test_error", models.packed_errors(cfg.loss, params, test.packed)
-        )
+        etable = metrics_mod.table_from_population(test, "test_error", models.packed_errors(cfg.loss, params, test))
         for key, val in metrics_mod.summarize(etable).items():
             out[f"test_error_{key}"] = val
     return out

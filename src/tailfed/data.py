@@ -1,16 +1,16 @@
-"""Device shards, synthetic populations, and on-disk interchange.
+"""Populations of devices, synthetic generators, and on-disk interchange.
 
-A population is a list of device shards with strictly positive sampling
-weights that sum to 1. Every generator derives per-device randomness from a
-single root seed so populations are bit-reproducible; device k draws from a
-stream keyed by (root seed, k) and is therefore unaffected by how many other
-devices exist.
+A population holds every device's rows once, packed, with strictly positive
+sampling weights that sum to 1; ``Population.shards`` views them per device.
+Every generator derives per-device randomness from a single root seed so
+populations are bit-reproducible; device k draws from a stream keyed by
+(root seed, k) and is therefore unaffected by how many other devices exist.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,100 +40,98 @@ class DeviceShard:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedShards:
-    """Device shards stacked into one feature matrix and one label vector.
+class Population:
+    """Every device's rows, packed, with the devices' ids and sampling weights.
 
-    Device k owns rows ``offsets[k] : offsets[k] + sizes[k]``, in shard order,
-    so a per-row result reduces to per-device values with
-    ``np.add.reduceat(rows, offsets)``. Every size is at least 1.
+    Device k owns rows ``offsets[k] : offsets[k] + sizes[k]``, in device
+    order, so a per-row result reduces to per-device values with
+    ``np.add.reduceat(rows, offsets)``. The arrays are read-only views of
+    those given (after any dtype conversion), so construction copies no rows;
+    the weights are normalized to sum to 1.
     """
 
     features: np.ndarray  # (N, p)
     labels: np.ndarray  # (N,)
-    offsets: np.ndarray  # (K,) int64
     sizes: np.ndarray  # (K,) int64
+    device_ids: tuple[str, ...]
+    weights: np.ndarray  # (K,)
+    offsets: np.ndarray = field(init=False)  # (K,) each device's first row, from the sizes
+
+    def __post_init__(self) -> None:
+        features = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        sizes = np.asarray(self.sizes)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        ids = tuple(self.device_ids)
+        if sizes.ndim != 1 or sizes.size == 0:
+            raise ValueError("population needs at least one device")
+        if features.ndim != 2 or labels.shape != features.shape[:1]:
+            raise ValueError(f"features {features.shape} and labels {labels.shape} must be (N, p) and (N,)")
+        if sizes.dtype.kind not in "iu" or sizes.min() < 1 or sizes.sum() != features.shape[0]:
+            raise ValueError(f"device sizes must be integers of at least 1 that sum to the {features.shape[0]} rows")
+        sizes = sizes.astype(np.int64, copy=False)
+        if len(ids) != sizes.size:
+            raise ValueError(f"need one device id per device ({sizes.size}), got {len(ids)}")
+        if weights.shape != sizes.shape or not (np.isfinite(weights).all() and weights.min() > 0.0):
+            raise ValueError(f"need one finite, positive weight per device ({sizes.size})")
+        total = sum(weights.tolist())
+        if abs(total - 1.0) > EPS:
+            weights = weights / total
+        arrays = dict(features=features, labels=labels, sizes=sizes, weights=weights, offsets=np.cumsum(sizes) - sizes)
+        for name, value in arrays.items():
+            view = value.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "device_ids", ids)
 
     @classmethod
-    def from_shards(cls, shards: list[DeviceShard]) -> "PackedShards":
-        sizes = np.array([len(s) for s in shards], dtype=np.int64)
+    def from_shards(cls, shards: list[DeviceShard]) -> "Population":
+        """A copy of the shards' rows, in shard order, weighted by the shards' weights."""
+        if not shards:
+            raise ValueError("population needs at least one device")
+        dims = {s.features.shape[1] for s in shards}
+        if len(dims) != 1:
+            raise ValueError(f"inconsistent feature dimensions across devices: {sorted(dims)}")
         return cls(
             features=np.concatenate([s.features for s in shards]),
             labels=np.concatenate([s.labels for s in shards]),
-            offsets=np.cumsum(sizes) - sizes,
-            sizes=sizes,
+            sizes=[len(s) for s in shards],
+            device_ids=[s.device_id for s in shards],
+            weights=[s.weight for s in shards],
         )
 
     def __len__(self) -> int:
         return int(self.sizes.size)
 
-    def select(self, devices) -> "PackedShards":
-        """The packed view of the given devices (indices into this view), in that order."""
+    @property
+    def feature_dim(self) -> int:
+        return int(self.features.shape[1])
+
+    @cached_property
+    def shards(self) -> tuple[DeviceShard, ...]:
+        """Every device as a DeviceShard of read-only views of its rows, built on first use."""
+        rows = zip(np.split(self.features, self.offsets[1:]), np.split(self.labels, self.offsets[1:]))
+        return tuple(DeviceShard(d, X, y, w) for d, (X, y), w in zip(self.device_ids, rows, self.weights.tolist()))
+
+    def select(self, devices) -> "Population":
+        """The given devices (indices into this population), in that order, weights renormalized."""
         idx = np.asarray(devices, dtype=np.int64)
         sizes = self.sizes[idx]
         offsets = np.cumsum(sizes) - sizes
         rows = np.repeat(self.offsets[idx] - offsets, sizes) + np.arange(int(sizes.sum()))
-        return PackedShards(np.take(self.features, rows, axis=0), np.take(self.labels, rows), offsets, sizes)
-
-
-@dataclass
-class Population:
-    """Device shards with sampling weights: the shards' weights, normalized.
-
-    The shards are held as a tuple and their weights and ids read once, on
-    construction; the population never writes its shards or follows edits.
-    """
-
-    shards: tuple[DeviceShard, ...]
-    feature_dim: int = 0
-
-    def __post_init__(self) -> None:
-        self.shards = tuple(self.shards)
-        if not self.shards:
-            raise ValueError("population needs at least one device")
-        dims = {s.features.shape[1] for s in self.shards}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent feature dimensions across devices: {sorted(dims)}")
-        dim = dims.pop()
-        if self.feature_dim == 0:
-            self.feature_dim = dim
-        elif self.feature_dim != dim:
-            raise ValueError(f"feature_dim {self.feature_dim} does not match shard dimension {dim}")
-        total = sum(s.weight for s in self.shards)
-        if total <= 0.0:
-            raise ValueError("device weights must have positive total mass")
-        weights = np.array([s.weight for s in self.shards], dtype=np.float64)
-        if abs(total - 1.0) > EPS:
-            weights = weights / total
-        weights.setflags(write=False)
-        self._weights = weights
-        self._device_ids = [s.device_id for s in self.shards]
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The sampling weights in shard order, as one read-only array."""
-        return self._weights
-
-    @property
-    def device_ids(self) -> list[str]:
-        return list(self._device_ids)
-
-    @cached_property
-    def packed(self) -> PackedShards:
-        """Every shard in one packed view, built on first use and kept.
-
-        The view copies the shards' rows, so it does not follow later edits
-        to the shard list or to shard arrays.
-        """
-        return PackedShards.from_shards(self.shards)
+        return Population(
+            np.take(self.features, rows, axis=0),
+            np.take(self.labels, rows),
+            sizes,
+            [self.device_ids[k] for k in idx.tolist()],
+            self.weights[idx],
+        )
 
 
 def weights_by_count(shards: list[DeviceShard]) -> Population:
     """Population whose device weights are proportional to shard sizes."""
-    total = sum(len(s) for s in shards)
-    return Population([DeviceShard(s.device_id, s.features, s.labels, len(s) / total) for s in shards])
+    pop = Population.from_shards(shards)
+    return replace(pop, weights=pop.sizes / pop.sizes.sum())
 
 
 def stream(seed: int, *tags: int) -> np.random.Generator:
@@ -167,7 +165,7 @@ def gen_gaussian_mixture(means, n_per_device: int, seed: int) -> Population:
         shards.append(
             DeviceShard(f"dev{k:03d}", X, np.zeros(n_per_device, dtype=np.int64), 1.0 / means.shape[0])
         )
-    return Population(shards)
+    return Population.from_shards(shards)
 
 
 def gen_hetero_logistic(
@@ -233,26 +231,25 @@ def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Populati
     if n_first == 0 or n_first == n:
         raise ValueError(f"degenerate split: fraction {fraction} of {n} devices leaves one side empty")
     order = stream(seed, 0x5D17).permutation(n)
-    first = sorted(order[:n_first].tolist())
-    second = sorted(order[n_first:].tolist())
-
-    def _side(idx: list[int]) -> Population:
-        shards = []
-        for i in idx:
-            s = pop.shards[i]
-            shards.append(DeviceShard(s.device_id, s.features, s.labels, float(pop.weights[i])))
-        return Population(shards)
-
-    return _side(first), _side(second)
+    return pop.select(np.sort(order[:n_first])), pop.select(np.sort(order[n_first:]))
 
 
 def save_devices_jsonl(pop: Population, path) -> None:
     """One JSON object per line: {"id": ..., "x": [[...]], "y": [...]}."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in pop.shards:
-            y = s.labels.tolist()
-            rec = {"id": s.device_id, "x": s.features.tolist(), "y": y}
+            y = s.labels
+            # Packing makes every label float64 once one device's is real;
+            # write a device of whole-number labels as integers, as it was read.
+            if y.dtype.kind == "f" and _whole(y):
+                y = y.astype(np.int64)
+            rec = {"id": s.device_id, "x": s.features.tolist(), "y": y.tolist()}
             fh.write(json.dumps(rec) + "\n")
+
+
+def _whole(y: np.ndarray) -> bool:
+    # Whole numbers that int64 holds: labels a device file reads as integers.
+    return bool(((np.abs(y) < 2.0**63) & (y == np.floor(y))).all())
 
 
 def load_devices_jsonl(path) -> Population:
@@ -279,6 +276,8 @@ def load_devices_jsonl(path) -> Population:
                 X = np.asarray(rec["x"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {lineno} (device {dev!r}): x is not a numeric matrix") from exc
+            if not np.isfinite(X).all():
+                raise ValueError(f"line {lineno} (device {dev!r}): x has a non-finite value")
             if X.ndim != 2 or X.shape[0] == 0:
                 raise ValueError(f"line {lineno} (device {dev!r}): x must be a non-empty matrix")
             y_raw = rec["y"]
@@ -290,8 +289,10 @@ def load_devices_jsonl(path) -> Population:
                 raise ValueError(f"line {lineno} (device {dev!r}): y is not numeric") from exc
             if y.ndim != 1:
                 raise ValueError(f"line {lineno} (device {dev!r}): y must be one-dimensional")
-            if np.all(y == np.floor(y)):
+            if _whole(y):
                 y = y.astype(np.int64)
+            elif not np.isfinite(y).all():
+                raise ValueError(f"line {lineno} (device {dev!r}): y has a non-finite value")
             if dim is None:
                 dim = X.shape[1]
             elif X.shape[1] != dim:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .data import DeviceShard, PackedShards, Population, stream
+from .data import DeviceShard, Population, stream
 from .models import LossSpec
 from .secure_agg import _weighted_mean, make_masked_aggregator, masked_weighted_sum, secure_quantile_for_round
 from .superquantile import (
@@ -127,7 +127,7 @@ def lr_schedule(cfg: FederationConfig, t: int) -> float:
     return cfg.lr0 * cfg.lr_decay ** (t // cfg.lr_decay_every)
 
 
-def _visiting_orders(cfg: FederationConfig, packed: PackedShards, rng: np.random.Generator) -> tuple:
+def _visiting_orders(cfg: FederationConfig, packed: Population, rng: np.random.Generator) -> tuple:
     # Every device's visiting order in one draw on rng: one flat array of
     # packed rows grouped by device, and each device's visit count. Point mode
     # draws n_local rows per device with replacement. Epoch mode sorts one
@@ -159,14 +159,12 @@ def local_update(
     This is the one-device case of a round's local training: the order is
     drawn from rng as a round draws from its stream, with the same kernel.
     """
-    packed = PackedShards.from_shards([shard])
-    order, counts = _visiting_orders(cfg, packed, rng)
-    return models.packed_local_sgd(cfg.loss, w, packed, order, counts, lr, _batch_size(cfg))[0]
+    one = Population.from_shards([shard])
+    order, counts = _visiting_orders(cfg, one, rng)
+    return models.packed_local_sgd(cfg.loss, w, one, order, counts, lr, _batch_size(cfg))[0]
 
 
-def _finite_losses(
-    cfg: FederationConfig, w: np.ndarray, sample: PackedShards, sampled_ids: list[str], t: int, which: str
-) -> np.ndarray:
+def _finite_losses(cfg: FederationConfig, w: np.ndarray, sample: Population, t: int, which: str) -> np.ndarray:
     # A non-finite loss means training diverged: name the round and the device
     # here, instead of numpy's overflow warning on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,7 +172,7 @@ def _finite_losses(
     if not np.isfinite(losses).all():
         k = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise FloatingPointError(
-            f"round {t} diverged: device {sampled_ids[k]!r} has a non-finite {which} loss ({float(losses[k])})"
+            f"round {t} diverged: device {sample.device_ids[k]!r} has a non-finite {which} loss ({float(losses[k])})"
         )
     # Read-only, so that a WeightedValues takes the array without a copy.
     losses.setflags(write=False)
@@ -216,7 +214,7 @@ def deltafl_round(
     # Uniform sampling with replacement; duplicates collapse to one slot. A
     # count sorts them: np.unique's first call adds ~1.7 MB of peak memory.
     idx = np.flatnonzero(np.bincount(rng.integers(0, len(pop), size=cfg.devices_per_round), minlength=len(pop)))
-    sample = pop.packed.select(idx)
+    sample = pop.select(idx)
     # Orders come before filtering, so a survivor's order does not depend on who
     # else survived, and before the mask seed, so plain and masked rounds agree.
     order, counts = _visiting_orders(cfg, sample, rng)
@@ -224,9 +222,7 @@ def deltafl_round(
     weights = pop.weights[idx]
     sample_weights = weights / weights.sum()
     sample_weights.setflags(write=False)  # as the losses: profiles take it as is
-    ids = pop.device_ids
-    sampled_ids = [ids[k] for k in idx.tolist()]
-    losses = _finite_losses(cfg, w, sample, sampled_ids, t, "reported")
+    losses = _finite_losses(cfg, w, sample, t, "reported")
     # One profile of the reported losses serves the threshold and
     # pre_objective, so the losses are sorted at most once.
     reported = WeightedValues(losses, sample_weights)
@@ -255,12 +251,12 @@ def deltafl_round(
     else:
         w_next = _weighted_mean(trained, weights[keep])
 
-    post_losses = _finite_losses(cfg, w_next, sample, sampled_ids, t, "post-round")
+    post_losses = _finite_losses(cfg, w_next, sample, t, "post-round")
     log = RoundLog(
         round_index=t,
-        sampled_ids=sampled_ids,
+        sampled_ids=list(sample.device_ids),
         eta=eta,
-        filtered_ids=list(compress(sampled_ids, keep)),
+        filtered_ids=list(compress(sample.device_ids, keep)),
         pre_objective=superquantile(reported, cfg.theta),
         post_objective=superquantile(WeightedValues(post_losses, sample_weights), cfg.theta),
         update_norm=float(np.linalg.norm(w_next - w)),
@@ -332,10 +328,9 @@ class PopulationObjective:
 
 
 def population_objectives(pop: Population, spec: LossSpec) -> PopulationObjective:
-    packed = pop.packed
     return PopulationObjective(
-        values=lambda w: models.packed_losses(spec, w, packed),
-        weighted_grad=lambda w, coeff: models.packed_weighted_grad(spec, w, packed, coeff),
+        values=lambda w: models.packed_losses(spec, w, pop),
+        weighted_grad=lambda w, coeff: models.packed_weighted_grad(spec, w, pop, coeff),
         weights=pop.weights,
     )
 

@@ -10,6 +10,7 @@ uniformly across devices.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ PERCENTILES = (20, 50, 60, 80, 90, 95)
 @dataclass
 class DeviceMetricTable:
     kind: str
-    device_ids: list[str]
+    device_ids: Sequence[str]
     weights: list[float]
     values: list[float]
 
@@ -53,7 +54,7 @@ class DeviceMetricTable:
 def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
     """Build a table over every shard of a population.
 
-    values is either one value per device in shard order (as the packed
+    values is either one value per device in device order (as the packed
     kernels in tailfed.models return them) or a function applied to each shard.
     """
     if callable(values):

@@ -10,12 +10,12 @@ ridge term (reg/2)*||w||^2 folded into every loss value:
 
 Every gradient, from one example to every device of a round, is one
 formula: ``_row_grads``, a row-weighted sum of per-example gradients. The
-``packed_*`` kernels evaluate every device of a packed view
-(``tailfed.data.PackedShards``) in one vectorized pass: one matmul over the
-stacked rows, then ``np.add.reduceat`` over the device segments. The
-per-point and per-shard functions (``point_loss``, ``point_grad``,
-``device_loss``, ``device_error``) are the same formulas on one example or
-one shard; the independent references live in ``tests/oracles.py``.
+``packed_*`` kernels evaluate every device of a ``tailfed.data.Population``
+in one vectorized pass: one matmul over its packed rows, then
+``np.add.reduceat`` over the device segments. The per-point and per-shard
+functions (``point_loss``, ``point_grad``, ``device_loss``, ``device_error``)
+are the same formulas on one example or one shard; the independent
+references live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def device_error(spec: LossSpec, w: np.ndarray, shard) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Packed kernels: every device of a PackedShards view in one pass.
+# Packed kernels: every device of a Population in one pass.
 
 
 def _labels_for(spec: LossSpec, labels: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def packed_weighted_grad(spec: LossSpec, w: np.ndarray, packed, coeff) -> np.nda
 def packed_local_sgd(
     spec: LossSpec, w: np.ndarray, packed, order, counts, lr: float, batch_size: int
 ) -> np.ndarray:
-    """Mini-batch SGD on every device of a packed view at once, all starting from w.
+    """Mini-batch SGD on every device of a population at once, all starting from w.
 
     ``order`` holds the packed rows to visit, grouped by device in device
     order, ``counts[k]`` of them device k's. Device k walks its rows in

@@ -173,7 +173,7 @@ def smoothed_plus_derivative(rho, nu: float):
     """Derivative of smoothed_plus: 0 below 0, rho/nu on (0, nu], then 1."""
     nu = check_smoothing(nu)
     r = np.asarray(rho, dtype=np.float64)
-    out = np.where(r <= 0.0, 0.0, np.where(r <= nu, r / nu, 1.0))
+    out = np.clip(r / nu, 0.0, 1.0)
     if out.ndim == 0:
         return float(out)
     return out

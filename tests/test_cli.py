@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailfed import CertifiedGradientDescent, gen_hetero_logistic, save_devices_jsonl
+from tailfed import CertifiedGradientDescent, Population, gen_hetero_logistic, save_devices_jsonl
 from tailfed.cli import (
     ConfigError,
     cmd_gaussian_demo,
@@ -461,6 +461,39 @@ def test_run_rejects_device_file_labels_the_loss_cannot_read(tmp_path, capsys, d
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and f"device {device!r}" in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_run_on_a_device_file_builds_no_shard_views(tmp_path, monkeypatch):
+    # The label check and every kernel read the population's packed arrays.
+    device_file = tmp_path / "devices.jsonl"
+    save_devices_jsonl(gen_hetero_logistic(10, (4, 9), 3, 3, 1.0, seed=11), device_file)
+    loss = {"kind": "multinomial_logistic", "num_classes": 3}
+    cfg = tiny_config(tmp_path / "out", loss=loss, data={"device_file": str(device_file)}, split_fraction=0.5)
+
+    def no_views(pop):
+        raise AssertionError("a run built shard views")
+
+    monkeypatch.setattr(Population, "shards", property(no_views))
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize(
+    "line, loss, where",
+    [
+        ('{"id": "a", "x": [[NaN, 1.0]], "y": [1]}', {"kind": "binary_logistic"}, "x"),
+        ('{"id": "a", "x": [[0.0, 1.0]], "y": [Infinity]}', {"kind": "squared_distance"}, "y"),
+    ],
+    ids=["nan-feature", "infinite-label"],
+)
+def test_run_rejects_non_finite_device_file_values_at_load(tmp_path, capsys, recwarn, line, loss, where):
+    # Not a divergence in round 0, and not a label cast to garbage: the load
+    # names the line and the device.
+    device_file = tmp_path / "devices.jsonl"
+    device_file.write_text('{"id": "ok", "x": [[1.0, 0.0]], "y": [1]}\n' + line + "\n")
+    cfg = tiny_config(tmp_path / "out", thetas=[0.5], loss=loss, data={"device_file": str(device_file)})
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: line 2 (device 'a'): {where} has a non-finite value\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_diverging_run_names_round_and_device(tmp_path, capsys, recwarn):

@@ -33,15 +33,15 @@ def test_population_normalizes_weights():
         DeviceShard("a", np.zeros((1, 2)), np.zeros(1), weight=2.0),
         DeviceShard("b", np.zeros((3, 2)), np.zeros(3), weight=6.0),
     ]
-    pop = Population(shards)
+    pop = Population.from_shards(shards)
     assert pop.weights == pytest.approx([0.25, 0.75])
     assert pop.feature_dim == 2
 
 
 def test_population_leaves_its_shards_alone():
     shards = [DeviceShard(d, np.zeros((1, 2)), np.zeros(1), weight=1.0) for d in "ab"]
-    pop = Population(shards)
-    Population(shards[:1])
+    pop = Population.from_shards(shards)
+    Population.from_shards(shards[:1])
     weights_by_count(shards)
     assert pop.weights.tolist() == [0.5, 0.5]
     WeightedValues(np.zeros(2), pop.weights)  # a profile takes the weights as they are
@@ -52,7 +52,7 @@ def test_population_shards_cannot_grow_after_construction():
     # weights, ids and the packed view are read on construction, so a shard
     # added later would be a device with no weight
     shards = [DeviceShard(d, np.zeros((1, 2)), np.zeros(1)) for d in "ab"]
-    pop = Population(shards)
+    pop = Population.from_shards(shards)
     with pytest.raises(AttributeError):
         pop.shards.append(DeviceShard("c", np.zeros((1, 2)), np.zeros(1)))
     shards.append(DeviceShard("c", np.zeros((1, 2)), np.zeros(1)))
@@ -65,7 +65,57 @@ def test_population_rejects_mixed_dims():
         DeviceShard("b", np.zeros((1, 3)), np.zeros(1)),
     ]
     with pytest.raises(ValueError):
-        Population(shards)
+        Population.from_shards(shards)
+
+
+def test_population_holds_its_rows_once():
+    pop = gen_hetero_logistic(5, (2, 6), 3, 2, 0.8, seed=13)
+    for k, shard in enumerate(pop.shards):
+        a, b = int(pop.offsets[k]), int(pop.offsets[k] + pop.sizes[k])
+        assert np.shares_memory(shard.features, pop.features)
+        assert np.shares_memory(shard.labels, pop.labels)
+        assert np.array_equal(shard.features, pop.features[a:b])
+        assert shard.device_id == pop.device_ids[k] and shard.weight == pop.weights[k]
+    assert pop.shards is pop.shards  # built once
+
+
+def test_population_arrays_and_shard_views_are_read_only():
+    pop = gen_hetero_logistic(3, (2, 4), 2, 2, 0.5, seed=2)
+    shard = pop.shards[1]
+    for array in (pop.features, pop.labels, pop.sizes, pop.offsets, pop.weights, shard.features, shard.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        pop.features = np.zeros_like(pop.features)
+
+
+def test_population_constructor_checks_its_arrays():
+    X, y = np.zeros((3, 2)), np.zeros(3)
+    ok = dict(features=X, labels=y, sizes=[1, 2], device_ids=("a", "b"), weights=[1.0, 3.0])
+    pop = Population(**ok)
+    assert pop.weights.tolist() == [0.25, 0.75] and pop.offsets.tolist() == [0, 1]
+    cases = {
+        "at least one device": dict(sizes=[], device_ids=(), weights=[]),
+        r"must be \(N, p\) and \(N,\)": dict(labels=np.zeros(2)),
+        "integers of at least 1 that sum to the 3 rows": dict(sizes=[1, 1]),
+        "integers of at least 1": dict(sizes=[0, 3]),
+        "integers of": dict(sizes=[1.5, 1.5]),
+        r"one device id per device \(2\), got 3": dict(device_ids=("a", "b", "c")),
+        "one finite, positive weight": dict(weights=[1.0, 0.0]),
+    }
+    for message, bad in cases.items():
+        with pytest.raises(ValueError, match=message):
+            Population(**{**ok, **bad})
+    for weights in ([1.0], [1.0, np.inf], [1.0, np.nan], [1.0, -1.0]):
+        with pytest.raises(ValueError, match="one finite, positive weight per device"):
+            Population(**{**ok, "weights": weights})
+
+
+def test_population_constructor_views_its_inputs_without_writing_their_flags():
+    X = np.arange(6.0).reshape(3, 2)
+    pop = Population(X, np.zeros(3), [3], ("a",), [1.0])
+    assert np.shares_memory(pop.features, X) and X.flags.writeable
+    assert pop.weights.tolist() == [1.0]
 
 
 def test_weights_by_count():
@@ -211,6 +261,18 @@ def test_split_is_deterministic():
     assert a1.device_ids != a3.device_ids
 
 
+def test_split_sides_are_selections_of_the_population():
+    pop = gen_hetero_logistic(11, (3, 6), 2, 2, 0.5, seed=6)
+    for side in split_devices(pop, 0.4, seed=3):
+        idx = [pop.device_ids.index(d) for d in side.device_ids]
+        assert idx == sorted(idx)
+        want = pop.select(idx)
+        assert side.device_ids == want.device_ids
+        for field in ("features", "labels", "sizes", "offsets", "weights"):
+            got, ref = getattr(side, field), getattr(want, field)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_split_rejects_degenerate():
     pop = gen_hetero_logistic(3, (2, 3), 2, 2, 0.5, seed=6)
     with pytest.raises(ValueError):
@@ -239,10 +301,52 @@ def test_jsonl_round_trip_exact(tmp_path):
 def test_jsonl_real_valued_targets_survive(tmp_path):
     shards = [DeviceShard("r", np.array([[1.0], [2.0]]), np.array([0.25, -1.5]))]
     path = tmp_path / "reg.jsonl"
-    save_devices_jsonl(Population(shards), path)
+    save_devices_jsonl(Population.from_shards(shards), path)
     back = load_devices_jsonl(path)
     assert back.shards[0].labels.dtype == np.float64
     assert np.array_equal(back.shards[0].labels, np.array([0.25, -1.5]))
+
+
+def test_jsonl_mixed_integer_and_real_labels_round_trip_to_the_same_bytes(tmp_path):
+    # Packing holds one float64 label vector, but a device whose labels are
+    # all whole numbers is written back as integers, as it was read.
+    text = (
+        '{"id": "a", "x": [[1.0, 2.0], [0.5, -1.0]], "y": [1, -1]}\n'
+        '{"id": "b", "x": [[3.0, 4.0]], "y": [0.25]}\n'
+        '{"id": "c", "x": [[0.0, 1.0], [2.0, 2.0]], "y": [2, 0]}\n'
+    )
+    src, out = tmp_path / "mixed.jsonl", tmp_path / "again.jsonl"
+    src.write_text(text)
+    pop = load_devices_jsonl(src)
+    assert pop.labels.dtype == np.float64
+    save_devices_jsonl(pop, out)
+    assert out.read_text() == text
+    again = load_devices_jsonl(out)
+    assert again.labels.tobytes() == pop.labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ('{"id": "a", "x": [[NaN, 1.0]], "y": [1]}', "x"),
+        ('{"id": "a", "x": [[-Infinity, 1.0]], "y": [1]}', "x"),
+        ('{"id": "a", "x": [[0.0, 1.0]], "y": [Infinity]}', "y"),
+        ('{"id": "a", "x": [[0.0, 1.0]], "y": [NaN]}', "y"),
+    ],
+)
+def test_jsonl_non_finite_values_name_line_and_device(tmp_path, line, where):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "ok", "x": [[0.0, 1.0]], "y": [1]}\n' + line + "\n")
+    with pytest.raises(ValueError, match=rf"line 2 \(device 'a'\): {where} has a non-finite value"):
+        load_devices_jsonl(path)
+
+
+def test_jsonl_whole_labels_beyond_int64_stay_real(tmp_path):
+    # Casting 1e300 to int64 would wrap to garbage.
+    path = tmp_path / "big.jsonl"
+    path.write_text('{"id": "a", "x": [[0.0], [1.0]], "y": [1e300, 2.0]}\n')
+    pop = load_devices_jsonl(path)
+    assert pop.labels.dtype == np.float64 and pop.labels.tolist() == [1e300, 2.0]
 
 
 def test_jsonl_invalid_json_names_line(tmp_path):

@@ -14,7 +14,7 @@ from tailfed import (
     point_grad,
     point_loss,
 )
-from tailfed.data import PackedShards
+from tailfed.data import Population
 from tailfed.models import packed_errors, packed_local_sgd, packed_losses, packed_weighted_grad, predict
 
 from oracles import device_error_naive, device_loss_naive, fd_gradient, point_loss_naive
@@ -158,7 +158,7 @@ def test_device_grad_matches_fd():
         p = 3
         shard = make_shard(rng, spec, p, 7)
         w = rng.normal(size=init_params(spec, p).shape)
-        g = packed_weighted_grad(spec, w, PackedShards.from_shards([shard]), [1.0])
+        g = packed_weighted_grad(spec, w, Population.from_shards([shard]), [1.0])
         fd = fd_gradient(lambda v: device_loss(spec, v, shard), w)
         assert float(np.linalg.norm(g - fd)) <= 1e-5 * max(1.0, float(np.linalg.norm(fd)))
 
@@ -238,7 +238,7 @@ def test_fractional_class_labels_are_rejected_not_truncated():
     spec = LossSpec("multinomial_logistic", num_classes=3)
     w, x = np.zeros(6), np.array([1.0, 2.0])
     shard = DeviceShard("a", np.ones((2, 2)), np.array([0.5, 1.7]))
-    packed = PackedShards.from_shards([shard])
+    packed = Population.from_shards([shard])
     calls = [
         lambda: point_loss(spec, w, x, 1.5),
         lambda: point_grad(spec, w, x, 1.5),

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailfed import DeviceShard, FederationConfig, LossSpec, Population, deltafl_round, lr_schedule, models
-from tailfed.data import PackedShards, stream
+from tailfed.data import stream
 from tailfed.federation import _visiting_orders, local_update
 
 from oracles import batch_grad_reference, device_error_naive, device_loss_naive
@@ -49,14 +49,14 @@ def populations(draw):
             y = np.zeros(n)
         shards.append(DeviceShard(f"d{k}", X, y, float(n)))
     w = rng.normal(size=spec.param_dim(p))
-    return spec, Population(shards), w, rng
+    return spec, Population.from_shards(shards), w, rng
 
 
 @SETTINGS
 @given(populations())
 def test_packed_losses_match_device_loss_and_oracle(case):
     spec, pop, w, _ = case
-    got = models.packed_losses(spec, w, pop.packed)
+    got = models.packed_losses(spec, w, pop)
     assert_close(got, [models.device_loss(spec, w, s) for s in pop.shards])
     naive = [
         device_loss_naive(spec.kind, w, s.features, s.labels, spec.l2_reg, spec.num_classes)
@@ -71,9 +71,9 @@ def test_packed_errors_match_device_error_and_oracle(case):
     spec, pop, w, _ = case
     if spec.kind == "squared_distance":
         with pytest.raises(ValueError):
-            models.packed_errors(spec, w, pop.packed)
+            models.packed_errors(spec, w, pop)
         return
-    got = models.packed_errors(spec, w, pop.packed)
+    got = models.packed_errors(spec, w, pop)
     assert got.tolist() == [models.device_error(spec, w, s) for s in pop.shards]
     assert got.tolist() == [
         device_error_naive(spec.kind, w, s.features, s.labels, spec.num_classes) for s in pop.shards
@@ -86,9 +86,9 @@ def test_packed_weighted_grad_matches_sum_of_device_grads(case):
     spec, pop, w, rng = case
     coeff = rng.uniform(0.0, 2.0, size=len(pop)) * (rng.random(len(pop)) < 0.7)
     want = sum(c * batch_grad_reference(spec, w, s.features, s.labels) for c, s in zip(coeff, pop.shards))
-    assert_close(models.packed_weighted_grad(spec, w, pop.packed, coeff), want)
+    assert_close(models.packed_weighted_grad(spec, w, pop, coeff), want)
     # The one-example gradient is the same formula on a single row.
-    X, y = pop.packed.features, pop.packed.labels
+    X, y = pop.features, pop.labels
     for i in range(len(y)):
         assert_close(models.point_grad(spec, w, X[i], y[i]), batch_grad_reference(spec, w, X[i : i + 1], y[i : i + 1]))
 
@@ -122,7 +122,7 @@ def test_packed_local_sgd_matches_per_device_loop(case, batch_size, epoch, lr):
     # A device with no visits, as a round gives a filtered device, takes no step.
     idle = rng.random(len(pop)) < 0.3
     orders = [o[:0] if skip else o for o, skip in zip(orders, idle)]
-    got = models.packed_local_sgd(spec, w, pop.packed, *flat_order(pop.packed, orders), lr, batch_size)
+    got = models.packed_local_sgd(spec, w, pop, *flat_order(pop, orders), lr, batch_size)
     assert got.shape == (len(pop), w.size)
     for k, shard in enumerate(pop.shards):
         if idle[k]:
@@ -143,7 +143,7 @@ def test_local_update_matches_the_round_path(case, batch_size, epoch, n_local, s
         loss=spec, batch_size=batch_size, local_epoch=epoch, n_local=n_local, seed=seed, devices_per_round=3
     )
     for shard in pop.shards:
-        one = Population([DeviceShard(shard.device_id, shard.features, shard.labels)])
+        one = Population.from_shards([DeviceShard(shard.device_id, shard.features, shard.labels)])
         got, _ = deltafl_round(one, w, cfg, t)
         rng = stream(seed, 2, t)
         rng.integers(0, 1, size=cfg.devices_per_round)
@@ -155,8 +155,8 @@ def test_local_update_matches_the_round_path(case, batch_size, epoch, n_local, s
 def test_select_packs_the_chosen_shards_in_order(case):
     _, pop, _, rng = case
     devices = rng.permutation(len(pop))[: int(rng.integers(1, len(pop) + 1))]
-    got = pop.packed.select(devices)
-    want = PackedShards.from_shards([pop.shards[k] for k in devices])
+    got = pop.select(devices)
+    want = Population.from_shards([pop.shards[k] for k in devices])
     for field in ("features", "labels", "offsets", "sizes"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -191,7 +191,7 @@ def sizes_and_keys(draw):
 def test_epoch_visiting_orders_are_the_stable_argsort(case):
     sizes, keys = case
     keys = np.array(keys)
-    packed = PackedShards.from_shards([DeviceShard(f"d{k}", np.zeros((n, 1)), np.zeros(n)) for k, n in enumerate(sizes)])
+    packed = Population.from_shards([DeviceShard(f"d{k}", np.zeros((n, 1)), np.zeros(n)) for k, n in enumerate(sizes)])
     order, counts = _visiting_orders(FederationConfig(), packed, _Keys(keys))
     device = np.repeat(np.arange(len(sizes)), sizes)
     assert np.array_equal(order, np.argsort(device + keys, kind="stable"))
@@ -205,7 +205,7 @@ def test_padded_steps_leave_a_finished_device_alone():
     rng = np.random.default_rng(3)
     short = DeviceShard("a", rng.normal(size=(1, 2)), np.array([1]))
     long = DeviceShard("b", rng.normal(size=(12, 2)), rng.choice([-1, 1], size=12))
-    packed = PackedShards.from_shards([short, long])
+    packed = Population.from_shards([short, long])
     w = np.array([0.3, -0.4])
     order, counts = flat_order(packed, [np.array([0]), np.arange(12)])
     got = models.packed_local_sgd(spec, w, packed, order, counts, 0.5, 4)
@@ -215,7 +215,7 @@ def test_padded_steps_leave_a_finished_device_alone():
 
 def test_kernels_reject_out_of_range_inputs():
     spec = LossSpec("multinomial_logistic", num_classes=3)
-    packed = PackedShards.from_shards([DeviceShard("a", np.ones((2, 2)), np.array([0, 3]))])
+    packed = Population.from_shards([DeviceShard("a", np.ones((2, 2)), np.array([0, 3]))])
     w = np.zeros(6)
     with pytest.raises(ValueError, match="class labels"):
         models.packed_losses(spec, w, packed)
@@ -224,11 +224,11 @@ def test_kernels_reject_out_of_range_inputs():
     with pytest.raises(ValueError, match="class labels"):
         models.packed_local_sgd(spec, w, packed, np.arange(2), [2], 0.1, 1)
     ok = LossSpec("binary_logistic")
-    good = PackedShards.from_shards([DeviceShard("a", np.ones((2, 2)), np.array([1, -1]))])
+    good = Population.from_shards([DeviceShard("a", np.ones((2, 2)), np.array([1, -1]))])
     with pytest.raises(ValueError, match="own device"):
         models.packed_local_sgd(ok, np.zeros(2), good, np.array([2]), [1], 0.1, 1)
     # Two 2-row devices: rows 0-1 are device 0's, rows 2-3 device 1's.
-    pair = PackedShards.from_shards([DeviceShard(d, np.ones((2, 2)), np.array([1, -1])) for d in "ab"])
+    pair = Population.from_shards([DeviceShard(d, np.ones((2, 2)), np.array([1, -1])) for d in "ab"])
     with pytest.raises(ValueError, match="own device"):
         models.packed_local_sgd(ok, np.zeros(2), pair, np.array([2, 3, 1]), [1, 2], 0.1, 1)
     with pytest.raises(ValueError, match=r"sum to the flat order's length \(3\)"):

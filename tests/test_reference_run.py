@@ -53,7 +53,7 @@ def runs(draw):
         loss=spec,
         aggregation=draw(st.sampled_from(["plain", "masked"])),
     )
-    return Population(shards), cfg, draw(st.sampled_from(["deltafl", "fedavg"]))
+    return Population.from_shards(shards), cfg, draw(st.sampled_from(["deltafl", "fedavg"]))
 
 
 def assert_close(got, want, rel):

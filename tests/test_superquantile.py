@@ -261,6 +261,13 @@ def test_smoothed_plus_derivative_branches():
     assert smoothed_plus_derivative(-3.0, 0.5) == 0.0
     assert smoothed_plus_derivative(0.25, 0.5) == pytest.approx(0.5)
     assert smoothed_plus_derivative(4.0, 0.5) == 1.0
+    # The clipped ratio equals the three branches written out, at both
+    # breakpoints, beside them and on subnormals.
+    tiny = float(np.nextafter(0.0, 1.0))
+    for nu in (0.5, 1e-3, 3.0):
+        r = np.array([-3.0, -tiny, -0.0, 0.0, tiny, 2.5e-308, nu / 2, nu, float(np.nextafter(nu, np.inf)), 4.0])
+        branches = np.where(r <= 0.0, 0.0, np.where(r <= nu, r / nu, 1.0))
+        assert np.array_equal(smoothed_plus_derivative(r, nu), branches)
 
 
 def test_smoothed_plus_is_continuously_differentiable():

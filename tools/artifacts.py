@@ -23,8 +23,10 @@ The runs cover fedavg; deltafl at theta 1 and 0.5 with a frozen threshold
 period; masked aggregation at theta 1 (no threshold) and at theta 0.5, once
 with the server_direct threshold and once with the secure_mm threshold
 protocol; point-mode local steps; am_meta at theta 1 and 0.5 with smoothing
-width nu 0.1 and nu 1e-3; a multinomial device file with a held-out split
-and a negative split_seed; and gaussian_mixture data.
+width nu 0.1 and nu 1e-3; a binary_logistic device file with a held-out
+half, the path the benchmark's fl workloads take (load, split, and a
+round's selection of sampled devices); a multinomial device file with a
+held-out split and a negative split_seed; and gaussian_mixture data.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ BASE = {
     "eval_every": 5,
 }
 
+BINARY_FILE = "inputs/binary.jsonl"
 MULTINOMIAL_FILE = "inputs/multinomial.jsonl"
 
 # name -> top-level fields that replace BASE's; "federation" entries are merged.
@@ -67,6 +70,7 @@ RUNS = {
     "point-mode": {"federation": {"local_epoch": False, "n_local": 4}},
     "am-meta": {"algorithm": "am_meta", "federation": {"nu": 0.1}, "am": {"num_iters": 10}},
     "am-meta-small-nu": {"algorithm": "am_meta", "federation": {"nu": 1e-3}, "am": {"num_iters": 10}},
+    "binary-device-file": {"data": {"device_file": BINARY_FILE}, "split_seed": 4},
     "multinomial-device-file": {
         "data": {"device_file": MULTINOMIAL_FILE},
         "loss": {"kind": "multinomial_logistic", "num_classes": 3, "l2_reg": 0.001},
@@ -103,6 +107,7 @@ def write_artifacts(out: Path) -> None:
     out.mkdir(parents=True)
     os.chdir(out)
     Path("inputs").mkdir()
+    save_devices_jsonl(gen_hetero_logistic(16, (5, 15), 3, 2, 1.0, seed=5), BINARY_FILE)
     save_devices_jsonl(gen_hetero_logistic(10, (4, 9), 3, 3, 1.0, seed=11), MULTINOMIAL_FILE)
     Path("configs").mkdir()
     Path("validate").mkdir()
