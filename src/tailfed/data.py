@@ -9,7 +9,14 @@ populations are bit-reproducible; device k draws from a stream keyed by
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
+import os
+import stat
+import warnings
+import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -256,50 +263,164 @@ def load_devices_jsonl(path) -> Population:
     """Read a device file written by save_devices_jsonl.
 
     Device weights are set proportional to shard sizes. Malformed lines
-    raise ValueError naming the line number and, when known, the device id.
+    raise ValueError naming the line number and, when known, the device id;
+    so do a repeated device id and an id that is neither a string nor an
+    integer (an integer id reads as its decimal text).
+
+    Loading a regular file leaves a binary copy of the parsed population
+    beside it, at ``<path>.cache.npz``, keyed by a cache-format version and
+    the file's byte length and CRC-32. A load whose file still matches that
+    key reads the copy instead of decoding JSON; any other load parses the
+    file and replaces the copy. A copy that cannot be read or written is
+    reported with a RuntimeWarning and the parse is used; deleting the copy
+    is always safe. Length plus CRC-32 catches every single-byte edit and
+    misses an accidental larger one with probability about 2**-32; it does
+    not guard against someone who can write to the directory.
     """
+    with open(path, "rb", buffering=0) as raw:
+        copy = f"{os.fsdecode(path)}.cache.npz" if stat.S_ISREG(os.fstat(raw.fileno()).st_mode) else None
+        if copy is not None:
+            pop = _read_copy(copy, raw)
+            if pop is not None:
+                return pop
+            raw.seek(0)
+        reader = _Checksummed(raw)
+        pop = _parse_devices(io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8"), path)
+    if copy is not None:
+        _write_copy(copy, pop, (_COPY_VERSION, reader.size, reader.crc))
+    return pop
+
+
+# The binary copy's format; bump it whenever the parse rules or the layout change.
+_COPY_VERSION = 1
+_CHUNK = 1 << 16
+
+
+class _Checksummed(io.RawIOBase):
+    """A binary file's bytes, passed through unchanged, counting their length and CRC-32."""
+
+    def __init__(self, raw) -> None:
+        self.raw, self.size, self.crc = raw, 0, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self.raw.readinto(buf)
+        self.size += n
+        self.crc = zlib.crc32(memoryview(buf)[:n], self.crc)
+        return n
+
+
+def _read_copy(copy: str, raw) -> Population | None:
+    # The population in the copy if its key matches the bytes left in raw,
+    # else None (warning first if the copy exists but cannot be read).
+    try:
+        with np.load(copy, allow_pickle=False) as z:
+            key = z["key"]
+            if key.dtype != np.int64 or key.shape != (3,):
+                raise ValueError(f"key is {key.dtype} {key.shape}, not int64 (3,)")
+            reader = _Checksummed(raw)
+            while reader.read(_CHUNK):
+                pass
+            if key.tolist() != [_COPY_VERSION, reader.size, reader.crc]:
+                return None
+            features, labels, sizes, ids = (z[name] for name in ("features", "labels", "sizes", "ids"))
+            if features.dtype != np.float64 or labels.dtype not in (np.int64, np.float64) or sizes.dtype != np.int64:
+                raise ValueError(f"arrays are {features.dtype}, {labels.dtype}, {sizes.dtype}")
+            if ids.dtype.kind != "U" or ids.ndim != 0:
+                raise ValueError(f"ids are {ids.dtype} {ids.shape}, not one string")
+            device_ids = json.JSONDecoder().decode(ids.item())
+            if not (isinstance(device_ids, list) and all(type(d) is str for d in device_ids)):
+                raise ValueError("ids are not a list of strings")
+            return Population(features, labels, sizes, device_ids, sizes / sizes.sum())
+    except FileNotFoundError:
+        return None
+    except Exception as exc:  # noqa: BLE001 - any unreadable copy falls back to parsing the file
+        message = f"ignoring unreadable device-file copy {copy}: {type(exc).__name__}: {exc}"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        return None
+
+
+def _write_copy(copy: str, pop: Population, key: tuple[int, int, int]) -> None:
+    # Written to a temporary file and renamed into place, so a reader sees
+    # the old copy or the new one, never part of one.
+    tmp = f"{copy}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                key=np.array(key, dtype=np.int64),
+                features=pop.features,
+                labels=pop.labels,
+                sizes=pop.sizes,
+                ids=np.array(json.dumps(pop.device_ids)),
+            )
+        os.replace(tmp, copy)
+    except OSError as exc:
+        warnings.warn(f"could not write device-file copy {copy}: {exc}", RuntimeWarning, stacklevel=3)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _numbers(values) -> bool:
+    # JSON numbers only: np.asarray would also read "1.5" and true as floats.
+    return {int, float}.issuperset(map(type, values))
+
+
+def _parse_devices(lines, path) -> Population:
     shards: list[DeviceShard] = []
+    first_line: dict[str, int] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or not {"id", "x", "y"} <= set(rec):
-                raise ValueError(f"line {lineno}: expected keys id, x, y")
-            dev = str(rec["id"])
-            try:
-                X = np.asarray(rec["x"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"line {lineno} (device {dev!r}): x is not a numeric matrix") from exc
-            if not np.isfinite(X).all():
-                raise ValueError(f"line {lineno} (device {dev!r}): x has a non-finite value")
-            if X.ndim != 2 or X.shape[0] == 0:
-                raise ValueError(f"line {lineno} (device {dev!r}): x must be a non-empty matrix")
-            y_raw = rec["y"]
-            if not isinstance(y_raw, list) or len(y_raw) != X.shape[0]:
-                raise ValueError(f"line {lineno} (device {dev!r}): y must list one label per row of x")
-            try:
-                y = np.asarray(y_raw, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"line {lineno} (device {dev!r}): y is not numeric") from exc
-            if y.ndim != 1:
-                raise ValueError(f"line {lineno} (device {dev!r}): y must be one-dimensional")
-            if _whole(y):
-                y = y.astype(np.int64)
-            elif not np.isfinite(y).all():
-                raise ValueError(f"line {lineno} (device {dev!r}): y has a non-finite value")
-            if dim is None:
-                dim = X.shape[1]
-            elif X.shape[1] != dim:
-                raise ValueError(
-                    f"line {lineno} (device {dev!r}): feature dimension {X.shape[1]} != {dim}"
-                )
-            shards.append(DeviceShard(dev, X, y))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict) or not {"id", "x", "y"} <= set(rec):
+            raise ValueError(f"line {lineno}: expected keys id, x, y")
+        if type(rec["id"]) not in (str, int):
+            raise ValueError(f"line {lineno}: device id {json.dumps(rec['id'])} is not a string or an integer")
+        dev = str(rec["id"])
+        if dev in first_line:
+            raise ValueError(f"line {lineno}: device id {dev!r} repeats line {first_line[dev]}")
+        first_line[dev] = lineno
+        x_raw = rec["x"]
+        try:
+            X = np.asarray(x_raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"line {lineno} (device {dev!r}): x is not a numeric matrix") from exc
+        if X.ndim == 2 and not _numbers(itertools.chain.from_iterable(x_raw)):
+            raise ValueError(f"line {lineno} (device {dev!r}): x is not a numeric matrix")
+        if not np.isfinite(X).all():
+            raise ValueError(f"line {lineno} (device {dev!r}): x has a non-finite value")
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValueError(f"line {lineno} (device {dev!r}): x must be a non-empty matrix")
+        y_raw = rec["y"]
+        if not isinstance(y_raw, list) or len(y_raw) != X.shape[0]:
+            raise ValueError(f"line {lineno} (device {dev!r}): y must list one label per row of x")
+        try:
+            y = np.asarray(y_raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"line {lineno} (device {dev!r}): y is not numeric") from exc
+        if y.ndim != 1:
+            raise ValueError(f"line {lineno} (device {dev!r}): y must be one-dimensional")
+        if not _numbers(y_raw):
+            raise ValueError(f"line {lineno} (device {dev!r}): y is not numeric")
+        if _whole(y):
+            y = y.astype(np.int64)
+        elif not np.isfinite(y).all():
+            raise ValueError(f"line {lineno} (device {dev!r}): y has a non-finite value")
+        if dim is None:
+            dim = X.shape[1]
+        elif X.shape[1] != dim:
+            raise ValueError(
+                f"line {lineno} (device {dev!r}): feature dimension {X.shape[1]} != {dim}"
+            )
+        shards.append(DeviceShard(dev, X, y))
     if not shards:
         raise ValueError(f"{path}: no devices found")
     return weights_by_count(shards)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -457,10 +458,13 @@ def test_run_rejects_device_file_labels_the_loss_cannot_read(tmp_path, capsys, d
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", path]) == 0
     capsys.readouterr()
-    assert main(["run", "--config", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and field in err and f"device {device!r}" in err
-    assert not (tmp_path / "out" / "summary.json").exists()
+    # The first run parses the file and writes its binary copy; the second reads the copy.
+    for copy_before in (False, True):
+        assert (tmp_path / "devices.jsonl.cache.npz").exists() == copy_before
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err and f"device {device!r}" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_run_on_a_device_file_builds_no_shard_views(tmp_path, monkeypatch):
@@ -475,6 +479,22 @@ def test_run_on_a_device_file_builds_no_shard_views(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Population, "shards", property(no_views))
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+def test_run_writes_the_same_bytes_from_a_device_file_cold_and_warm(tmp_path):
+    device_file = tmp_path / "devices.jsonl"
+    save_devices_jsonl(gen_hetero_logistic(10, (4, 9), 3, 3, 1.0, seed=11), device_file)
+    loss = {"kind": "multinomial_logistic", "num_classes": 3}
+    cfg = tiny_config(tmp_path / "out", loss=loss, data={"device_file": str(device_file)}, split_fraction=0.5)
+    path = write_config(tmp_path, cfg)
+    trees = []
+    for copy_before in (False, True):
+        assert (tmp_path / "devices.jsonl.cache.npz").exists() == copy_before
+        assert main(["run", "--config", path]) == 0
+        out = tmp_path / "out"
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        shutil.rmtree(out)
+    assert trees[0] == trees[1] and len(trees[0]) > 2
 
 
 @pytest.mark.parametrize(

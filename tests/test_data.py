@@ -1,5 +1,11 @@
 """Population construction, synthetic generators, and jsonl interchange."""
 
+import json
+import os
+import re
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,11 +386,55 @@ def test_jsonl_dimension_mismatch_between_lines(tmp_path):
         load_devices_jsonl(path)
 
 
+NON_NUMERIC = [
+    ('{"id": "a", "x": [["oops"]], "y": [1]}', "x is not a numeric matrix"),
+    ('{"id": "a", "x": [["1.5", "2"]], "y": [1]}', "x is not a numeric matrix"),
+    ('{"id": "a", "x": [[true, 0.0]], "y": [1]}', "x is not a numeric matrix"),
+    ('{"id": "a", "x": [[null, 0.0]], "y": [1]}', "x is not a numeric matrix"),
+    ('{"id": "a", "x": [[1.5, 2.0]], "y": [true]}', "y is not numeric"),
+    ('{"id": "a", "x": [[1.5, 2.0]], "y": ["-1"]}', "y is not numeric"),
+    ('{"id": "a", "x": [[1.5, 2.0]], "y": [null]}', "y is not numeric"),
+    ('{"id": "a", "x": [[1' + "0" * 400 + ', 2.0]], "y": [1]}', "x is not a numeric matrix"),
+    ('{"id": "a", "x": [[1.5, 2.0]], "y": [1' + "0" * 400 + "]}", "y is not numeric"),
+]
+
+
 def test_jsonl_non_numeric_features(tmp_path):
+    # np.asarray(..., dtype=np.float64) reads "1.5" and true as numbers and
+    # null as NaN, and raises OverflowError on an integer past float64's
+    # range; a device file holds JSON numbers that float64 holds.
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "a", "x": [["oops"]], "y": [1]}\n')
-    with pytest.raises(ValueError, match="numeric"):
+    for line, message in NON_NUMERIC:
+        path.write_text('{"id": "ok", "x": [[0.0, 1.0]], "y": [1]}\n' + line + "\n")
+        with pytest.raises(ValueError, match=rf"line 2 \(device 'a'\): {message}"):
+            load_devices_jsonl(path)
+        assert not (tmp_path / "bad.jsonl.cache.npz").exists()
+
+
+def test_jsonl_repeated_device_id_names_both_lines(tmp_path):
+    # A string id and an integer id with the same text are one device id.
+    path = tmp_path / "twice.jsonl"
+    for first, again in (('"a"', '"a"'), ("7", '"7"')):
+        path.write_text(
+            f'{{"id": {first}, "x": [[0.0]], "y": [1]}}\n'
+            '{"id": "b", "x": [[1.0]], "y": [1]}\n'
+            f'{{"id": {again}, "x": [[2.0]], "y": [1]}}\n'
+        )
+        with pytest.raises(ValueError, match=rf"line 3: device id '{json.loads(again)}' repeats line 1"):
+            load_devices_jsonl(path)
+
+
+@pytest.mark.parametrize("value", ['{"k": 1}', "[1]", "true", "null", "1.5"])
+def test_jsonl_device_ids_are_strings_or_integers(tmp_path, value):
+    # Anything else would load as its Python repr ("{'k': 1}", "True") and
+    # be written back as a different id.
+    path = tmp_path / "ids.jsonl"
+    good = '{"id": 7, "x": [[0.0]], "y": [1]}\n'
+    path.write_text(good + f'{{"id": {value}, "x": [[1.0]], "y": [1]}}\n')
+    with pytest.raises(ValueError, match=rf"line 2: device id {re.escape(value)} is not a string or an integer"):
         load_devices_jsonl(path)
+    path.write_text(good)
+    assert load_devices_jsonl(path).device_ids == ("7",)
 
 
 def test_jsonl_empty_file_rejected(tmp_path):
@@ -392,3 +442,161 @@ def test_jsonl_empty_file_rejected(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValueError, match="no devices"):
         load_devices_jsonl(path)
+
+
+# ---------------------------------------------------------------------------
+# the binary copy beside a device file
+
+# Ids that a str-dtype array would not keep: a trailing NUL, a lone
+# surrogate; an integer id; devices with integer and with real labels.
+COPY_TEXT = (
+    '{"id": "a\\u0000", "x": [[1.0, 2.0], [0.5, -1.0]], "y": [1, -1]}\n'
+    '{"id": "\\ud800\u00e9", "x": [[3.0, 4.0]], "y": [0.25]}\n'
+    '{"id": 7, "x": [[0.0, 1.0], [2.0, 2.0], [1e-300, 5.5]], "y": [2, 0, 1]}\n'
+)
+
+
+def copy_of(path):
+    return path.parent / f"{path.name}.cache.npz"
+
+
+def assert_same_population(a, b):
+    for name in ("features", "labels", "sizes", "weights", "offsets"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y) and x.tobytes() == y.tobytes(), name
+    assert a.device_ids == b.device_ids
+
+
+def rewrite_copy(copy, **changes):
+    """Write the copy again with some members replaced; a member given as None is left out."""
+    with np.load(copy) as z:
+        members = {name: z[name] for name in z.files}
+    members.update(changes)
+    np.savez(copy, **{k: v for k, v in members.items() if v is not None})
+
+
+def test_warm_load_equals_the_cold_load(tmp_path):
+    path = tmp_path / "devices.jsonl"
+    path.write_text(COPY_TEXT, encoding="utf-8")
+    cold = load_devices_jsonl(path)
+    assert copy_of(path).is_file()
+    assert cold.device_ids == ("a\x00", "\ud800\u00e9", "7") and cold.labels.dtype == np.float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = load_devices_jsonl(str(path))
+    assert_same_population(cold, warm)
+    assert not warm.features.flags.writeable and not warm.labels.flags.writeable
+
+
+def test_warm_load_decodes_no_json(tmp_path, monkeypatch):
+    path = tmp_path / "devices.jsonl"
+    save_devices_jsonl(gen_hetero_logistic(6, (2, 5), 3, 2, 1.0, seed=2), path)
+    cold = load_devices_jsonl(path)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a warm load decoded JSON")
+
+    monkeypatch.setattr(json, "loads", no_parse)
+    assert_same_population(cold, load_devices_jsonl(path))
+
+
+def test_same_length_edits_are_seen(tmp_path):
+    path = tmp_path / "devices.jsonl"
+    path.write_text(COPY_TEXT, encoding="utf-8")
+    load_devices_jsonl(path)
+    path.write_text(COPY_TEXT.replace("5.5", "6.5"), encoding="utf-8")
+    assert load_devices_jsonl(path).features[-1].tolist() == [1e-300, 6.5]
+    # Same length again, but no longer valid: the parse error, not the old population.
+    path.write_text(COPY_TEXT.replace("5.5", "6.5").replace("[[3.0", "{[3.0"), encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: invalid JSON"):
+        load_devices_jsonl(path)
+
+
+def test_a_copy_of_another_version_is_rebuilt(tmp_path):
+    path = tmp_path / "devices.jsonl"
+    path.write_text(COPY_TEXT, encoding="utf-8")
+    cold = load_devices_jsonl(path)
+    with np.load(copy_of(path)) as z:
+        key = z["key"]
+    rewrite_copy(copy_of(path), key=key + [1, 0, 0], features=np.zeros((6, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_population(cold, load_devices_jsonl(path))
+    with np.load(copy_of(path)) as z:
+        assert np.array_equal(z["key"], key)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "truncated", "empty", "not-a-zip", "missing-member", "pickled-ids", "float32-features", "short-labels",
+        "zero-size",
+    ],
+)
+def test_an_unreadable_copy_warns_and_is_rebuilt(tmp_path, damage):
+    path = tmp_path / "devices.jsonl"
+    path.write_text(COPY_TEXT, encoding="utf-8")
+    cold = load_devices_jsonl(path)
+    copy = copy_of(path)
+    data = copy.read_bytes()
+    if damage == "truncated":
+        copy.write_bytes(data[: len(data) // 2])
+    elif damage == "empty":
+        copy.write_bytes(b"")
+    elif damage == "not-a-zip":
+        copy.write_text("not a zip file")
+    elif damage == "missing-member":
+        rewrite_copy(copy, labels=None)
+    elif damage == "pickled-ids":
+        rewrite_copy(copy, ids=np.array([["a"], "b", "7"], dtype=object))
+    elif damage == "float32-features":
+        with np.load(copy) as z:
+            rewrite_copy(copy, features=z["features"].astype(np.float32))
+    elif damage == "short-labels":
+        with np.load(copy) as z:
+            rewrite_copy(copy, labels=z["labels"][:-1])
+    else:
+        rewrite_copy(copy, sizes=np.array([2, 0, 4]))
+    with pytest.warns(RuntimeWarning, match=re.escape(f"unreadable device-file copy {copy}")):
+        again = load_devices_jsonl(path)
+    assert_same_population(cold, again)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_population(cold, load_devices_jsonl(path))
+
+
+def test_an_unwritable_copy_warns_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "devices.jsonl"
+    path.write_text(COPY_TEXT, encoding="utf-8")
+
+    def read_only(src, dst):
+        raise OSError(30, "Read-only file system", str(dst))
+
+    monkeypatch.setattr(os, "replace", read_only)
+    message = re.escape(f"could not write device-file copy {copy_of(path)}: ") + ".*Read-only"
+    with pytest.warns(RuntimeWarning, match=message):
+        pop = load_devices_jsonl(path)
+    assert pop.device_ids == ("a\x00", "\ud800\u00e9", "7")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["devices.jsonl"]
+
+
+def test_a_failed_parse_writes_no_copy(tmp_path):
+    path = tmp_path / "devices.jsonl"
+    path.write_text(COPY_TEXT + "{nope\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4: invalid JSON"):
+        load_devices_jsonl(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["devices.jsonl"]
+
+
+def test_a_pipe_is_parsed_and_gets_no_copy(tmp_path):
+    fifo = tmp_path / "devices.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(COPY_TEXT,), kwargs={"encoding": "utf-8"})
+    writer.start()
+    try:
+        pop = load_devices_jsonl(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert pop.device_ids == ("a\x00", "\ud800\u00e9", "7")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["devices.fifo"]

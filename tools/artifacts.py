@@ -27,6 +27,12 @@ width nu 0.1 and nu 1e-3; a binary_logistic device file with a held-out
 half, the path the benchmark's fl workloads take (load, split, and a
 round's selection of sampled devices); a multinomial device file with a
 held-out split and a negative split_seed; and gaussian_mixture data.
+
+Loading a device file leaves its binary copy beside it, so OUT also holds
+``inputs/binary.jsonl.cache.npz`` and ``inputs/multinomial.jsonl.cache.npz``.
+Each device-file run has 4 cells, so cells 2-4 read the copy the first cell
+wrote. The copies' bytes repeat from run to run; against OUT from a version
+of tailfed that kept no copy, ``diff -r`` lists those two files only.
 """
 
 from __future__ import annotations
