@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -267,6 +268,15 @@ def _check_labels(loss: LossSpec, labels: list, source: str) -> None:
     raise ConfigError(problem.format(source, shown))
 
 
+def _unreadable_labels(loss: LossSpec, labels: np.ndarray) -> np.ndarray:
+    # The rows whose label _check_labels rejects, as a mask.
+    if loss.kind == "binary_logistic":
+        return (labels != -1) & (labels != 1)
+    if loss.kind == "multinomial_logistic":
+        return (labels < 0) | (labels >= loss.num_classes) | (labels != np.floor(labels))
+    return np.zeros(labels.shape, dtype=bool)
+
+
 def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> FederationConfig:
     return FederationConfig(theta=theta, seed=seed, loss=cfg.loss, **cfg.federation)
 
@@ -275,9 +285,12 @@ def _build_population(cfg: ExperimentConfig, seed: int) -> Population:
     data = cfg.data
     if "device_file" in data:
         pop = load_devices_jsonl(data["device_file"])
-        labels, ends = pop.labels.tolist(), (pop.offsets + pop.sizes).tolist()
-        for dev, a, b in zip(pop.device_ids, pop.offsets.tolist(), ends):
-            _check_labels(cfg.loss, labels[a:b], f"device {dev!r} of {data['device_file']}")
+        bad = np.flatnonzero(_unreadable_labels(cfg.loss, pop.labels))
+        if bad.size:
+            # The first device with a bad row, checked alone for its message.
+            k = int(np.searchsorted(pop.offsets, bad[0], side="right")) - 1
+            rows = pop.labels[pop.offsets[k] : pop.offsets[k] + pop.sizes[k]].tolist()
+            _check_labels(cfg.loss, rows, f"device {pop.device_ids[k]!r} of {data['device_file']}")
         return pop
     data_seed = data.get("seed")
     root = int(data_seed) if data_seed is not None else seed
@@ -508,7 +521,9 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     return parse_experiment_config(raw)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser as it was.
     parser = argparse.ArgumentParser(prog="tailfed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -529,8 +544,11 @@ def main(argv=None) -> int:
     p_demo.add_argument("--n-per-device", dest="n_per_device", type=int, default=10_000)
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--means", help="JSON list of three 2-d means")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
             cfg = _load_config(args.config, argparse.Namespace())

@@ -317,22 +317,26 @@ def run_federated(
 class PopulationObjective:
     """Full-batch objectives F_k of every device, evaluated together.
 
-    ``values(w)`` returns every F_k(w) in device order and
-    ``weighted_grad(w, coeff)`` returns sum_k coeff[k] * grad F_k(w), each
-    in one pass over the population.
+    ``point(w)`` evaluates every device once at w. It returns every F_k(w)
+    in device order and a function coeff -> sum_k coeff[k] * grad F_k(w)
+    that reads what the value pass computed (for the logistic losses, the
+    margins), so a value and any number of weighted gradients at one w cost
+    one pass over the population. ``values`` and ``weighted_grad`` are views
+    of one point evaluation each.
     """
 
-    values: Callable[[np.ndarray], np.ndarray]
-    weighted_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    point: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
     weights: np.ndarray
+
+    def values(self, w: np.ndarray) -> np.ndarray:
+        return self.point(w)[0]
+
+    def weighted_grad(self, w: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        return self.point(w)[1](coeff)
 
 
 def population_objectives(pop: Population, spec: LossSpec) -> PopulationObjective:
-    return PopulationObjective(
-        values=lambda w: models.packed_losses(spec, w, pop),
-        weighted_grad=lambda w, coeff: models.packed_weighted_grad(spec, w, pop, coeff),
-        weights=pop.weights,
-    )
+    return PopulationObjective(point=models._packed_point(spec, pop), weights=pop.weights)
 
 
 def quadratic_objectives(centers, offsets=None, weights=None) -> PopulationObjective:
@@ -342,15 +346,17 @@ def quadratic_objectives(centers, offsets=None, weights=None) -> PopulationObjec
     offsets = np.zeros(n) if offsets is None else np.asarray(offsets, dtype=np.float64)
     weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
 
-    def values(w: np.ndarray) -> np.ndarray:
-        diff = np.asarray(w, dtype=np.float64) - centers
-        return np.einsum("kp,kp->k", diff, diff) + offsets
+    def point(w: np.ndarray):
+        w = np.array(w, dtype=np.float64)
+        diff = w - centers
 
-    def weighted_grad(w: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        coeff = np.asarray(coeff, dtype=np.float64)
-        return 2.0 * (coeff.sum() * np.asarray(w, dtype=np.float64) - coeff @ centers)
+        def weighted_grad(coeff: np.ndarray) -> np.ndarray:
+            coeff = np.asarray(coeff, dtype=np.float64)
+            return 2.0 * (coeff.sum() * w - coeff @ centers)
 
-    return PopulationObjective(values=values, weighted_grad=weighted_grad, weights=weights)
+        return np.einsum("kp,kp->k", diff, diff) + offsets, weighted_grad
+
+    return PopulationObjective(point=point, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -451,20 +457,26 @@ class AMResult:
         return self.iterates[-1].params
 
 
-def _objective_state(objectives: PopulationObjective, w: np.ndarray) -> WeightedValues:
-    return WeightedValues(objectives.values(w), objectives.weights / objectives.weights.sum())
+def _objective_state(objectives: PopulationObjective, w: np.ndarray) -> tuple[WeightedValues, Callable]:
+    # One point evaluation: the device values as a profile, and the weighted gradient at w.
+    values, weighted_grad = objectives.point(w)
+    return WeightedValues(values, objectives.weights / objectives.weights.sum()), weighted_grad
 
 
-def _smoothed_grad_at(
-    objectives: PopulationObjective,
-    wv: WeightedValues,
-    w: np.ndarray,
-    eta: float,
-    theta: float,
-    nu: float,
-) -> tuple[np.ndarray, float]:
-    coeff = smoothed_device_coefficients(wv, theta, nu, eta)
-    return objectives.weighted_grad(w, coeff), smoothed_objective_slope(wv, theta, nu, eta)
+def _memo_last(fn: Callable) -> Callable:
+    # fn, remembering its last call: a one-entry memo of a deterministic
+    # function, keyed on the exact bytes of its array or float arguments.
+    # The old result is dropped before fn runs, so two are never held.
+    last: list = [None, None]
+
+    def call(*args):
+        key = [np.asarray(a).tobytes() for a in args]
+        if key != last[0]:
+            last[:] = None, None
+            last[:] = key, fn(*args)
+        return last[1]
+
+    return call
 
 
 def smoothed_full_gradient(
@@ -475,9 +487,9 @@ def smoothed_full_gradient(
     Returns (parameter gradient, threshold partial derivative). The parameter
     gradient is the coefficient-weighted sum of device gradients.
     """
-    objectives = population_objectives(pop, spec)
-    w = np.asarray(w, dtype=np.float64)
-    return _smoothed_grad_at(objectives, _objective_state(objectives, w), w, eta, theta, nu)
+    wv, weighted_grad = _objective_state(population_objectives(pop, spec), w)
+    coeff = smoothed_device_coefficients(wv, theta, nu, eta)
+    return weighted_grad(coeff), smoothed_objective_slope(wv, theta, nu, eta)
 
 
 def am_meta(
@@ -499,23 +511,36 @@ def am_meta(
     objective never increases by more than the budget between iterations.
     on_iterate, if given, gets each iterate as it is recorded (the start
     point first).
+
+    Each distinct parameter vector is evaluated once (one
+    ``objectives.point`` call): the record of an iterate reuses the point
+    the parameter step accepted, and the step's first value and gradient
+    are the ones the record computed at the same w and threshold.
     """
     theta = check_conformity(theta)
     nu = check_smoothing(nu)
     w = np.array(w0, dtype=np.float64)
     iterates: list[AMIterate] = []
+    state = _memo_last(lambda w_cur: _objective_state(objectives, w_cur))
+
+    @_memo_last
+    def value_grad(w_cur: np.ndarray, eta: float) -> tuple[float, np.ndarray]:
+        wv, weighted_grad = state(w_cur)
+        coeff = smoothed_device_coefficients(wv, theta, nu, eta)
+        return smoothed_objective(wv, theta, nu, eta), weighted_grad(coeff)
 
     def record(w_cur: np.ndarray) -> float:
-        wv = _objective_state(objectives, w_cur)
+        wv, _ = state(w_cur)
         eta = smoothed_eta_star(wv, theta, nu)
-        grad_w, slope = _smoothed_grad_at(objectives, wv, w_cur, eta, theta, nu)
+        value, grad_w = value_grad(w_cur, eta)
+        slope = smoothed_objective_slope(wv, theta, nu, eta)
         iterates.append(
             AMIterate(
                 params=w_cur.copy(),
                 eta=eta,
                 grad_norm=float(np.sqrt(np.dot(grad_w, grad_w) + slope * slope)),
                 eta_slope=slope,
-                smoothed_value=smoothed_objective(wv, theta, nu, eta),
+                smoothed_value=value,
                 nonsmooth_value=plus_objective(wv, theta, eta),
             )
         )
@@ -525,11 +550,6 @@ def am_meta(
 
     eta = record(w)
     for t in range(num_iters):
-        def value_grad(w_try: np.ndarray, eta_t=eta) -> tuple[float, np.ndarray]:
-            wv = _objective_state(objectives, w_try)
-            coeff = smoothed_device_coefficients(wv, theta, nu, eta_t)
-            return smoothed_objective(wv, theta, nu, eta_t), objectives.weighted_grad(w_try, coeff)
-
-        w = solver.solve(value_grad, w, schedule(t))
+        w = solver.solve(lambda w_try, eta_t=eta: value_grad(w_try, eta_t), w, schedule(t))
         eta = record(w)
     return AMResult(iterates)

@@ -9,10 +9,13 @@ ridge term (reg/2)*||w||^2 folded into every loss value:
   parameter vector is the row-major flattening of the (C, p) weight matrix.
 
 Every gradient, from one example to every device of a round, is one
-formula: ``_row_grads``, a row-weighted sum of per-example gradients. The
-``packed_*`` kernels evaluate every device of a ``tailfed.data.Population``
-in one vectorized pass: one matmul over its packed rows, then
-``np.add.reduceat`` over the device segments. The per-point and per-shard
+formula: ``_row_grads``, a row-weighted sum of per-example gradients; every
+loss is ``batch_losses``. Both read the parameters through ``_margins``.
+The ``packed_*`` kernels evaluate every device of a
+``tailfed.data.Population`` in one vectorized pass: one matmul over its
+packed rows, then ``np.add.reduceat`` over the device segments.
+``_packed_point`` evaluates the values once per parameter vector and hands
+their margins to every gradient taken there. The per-point and per-shard
 functions (``point_loss``, ``point_grad``, ``device_loss``, ``device_error``)
 are the same formulas on one example or one shard; the independent
 references live in ``tests/oracles.py``.
@@ -74,16 +77,19 @@ def batch_losses(spec: LossSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) ->
     """Per-example losses, ridge term included, as a length-n vector."""
     X = np.asarray(X, dtype=np.float64)
     w = _check_params(spec, w, X.shape[1])
+    y = _labels_for(spec, y)
+    return _row_losses(spec, w, X, y, _margins(spec, w, X, y))
+
+
+def _row_losses(spec: LossSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray, margins) -> np.ndarray:
+    # batch_losses on checked parameters, converted labels and their margins.
     reg = 0.5 * spec.l2_reg * float(np.dot(w, w))
     if spec.kind == "squared_distance":
         diff = X - w[None, :]
         return np.einsum("ij,ij->i", diff, diff) + reg
     if spec.kind == "binary_logistic":
-        margins = np.asarray(y, dtype=np.float64) * (X @ w)
         return _softplus(-margins) + reg
-    W = w.reshape(spec.num_classes, X.shape[1])
-    logp = _log_softmax(X @ W.T)
-    return -logp[np.arange(X.shape[0]), _labels_for(spec, y)] + reg
+    return -margins[np.arange(X.shape[0]), y] + reg
 
 
 def point_loss(spec: LossSpec, w: np.ndarray, x: np.ndarray, y) -> float:
@@ -143,13 +149,28 @@ def _labels_for(spec: LossSpec, labels: np.ndarray) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _row_grads(spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _margins(spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray):
+    # What a loss and its gradient both read of W: y * <w, x> per row
+    # (binary), each row's class log-probabilities (multinomial), None for
+    # squared distance. Shapes broadcast as in _row_grads.
+    if spec.kind == "binary_logistic":
+        return y * (X @ W[..., None])[..., 0]
+    if spec.kind == "multinomial_logistic":
+        Wm = W.reshape(W.shape[:-1] + (spec.num_classes, X.shape[-1]))
+        return _log_softmax(X @ np.swapaxes(Wm, -1, -2))
+    return None
+
+
+def _row_grads(
+    spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray, c: np.ndarray, margins=None
+) -> np.ndarray:
     """Row-weighted gradient sum_i c_i * grad f(W; x_i, y_i), ridge term excluded.
 
     Shapes broadcast over leading axes: X is (..., n, p), W is (..., d), and
     y (converted by _labels_for) and c are (..., n). With X (n, p) this is
     one parameter vector over n rows; with X (k, b, p) it is k independent
-    batches, each with its own row of W.
+    batches, each with its own row of W. ``margins`` are _margins at W, if
+    the caller has them.
     """
     def weighted_sum(r: np.ndarray) -> np.ndarray:
         # sum_i r_i x_i over the row axis: (..., n) -> (..., p)
@@ -158,14 +179,13 @@ def _row_grads(spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray, c: n
     if spec.kind == "squared_distance":
         # grad ||x - w||^2 = 2 (w - x)
         return 2.0 * (c.sum(axis=-1)[..., None] * W - weighted_sum(c))
+    if margins is None:
+        margins = _margins(spec, W, X, y)
     if spec.kind == "binary_logistic":
-        margins = y * (X @ W[..., None])[..., 0]
         # d/dm log(1+exp(-m)) = -sigmoid(-m); margins below -500 give 1 either way
         return weighted_sum(-c * y / (1.0 + np.exp(np.minimum(margins, 500.0))))
-    C, p = spec.num_classes, X.shape[-1]
-    Wm = W.reshape(W.shape[:-1] + (C, p))
-    probs = np.exp(_log_softmax(X @ np.swapaxes(Wm, -1, -2)))
-    probs -= y[..., None] == np.arange(C)
+    probs = np.exp(margins)
+    probs -= y[..., None] == np.arange(spec.num_classes)
     return (np.swapaxes(probs * c[..., None], -1, -2) @ X).reshape(W.shape)
 
 
@@ -183,14 +203,38 @@ def packed_errors(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
 
 def packed_weighted_grad(spec: LossSpec, w: np.ndarray, packed, coeff) -> np.ndarray:
     """sum_k coeff[k] * grad F_k(w), F_k the mean loss of device k, in one pass."""
-    X = packed.features
-    w = _check_params(spec, w, X.shape[1])
+    w = _check_params(spec, w, packed.features.shape[1])
+    return _weighted_grad(spec, w, packed, _labels_for(spec, packed.labels), coeff)
+
+
+def _weighted_grad(spec: LossSpec, w: np.ndarray, packed, y: np.ndarray, coeff, margins=None) -> np.ndarray:
+    # packed_weighted_grad on checked parameters and converted labels.
     coeff = np.asarray(coeff, dtype=np.float64)
     if coeff.shape != packed.sizes.shape:
         raise ValueError(f"need one coefficient per device ({packed.sizes.size}), got shape {coeff.shape}")
     row_coeff = np.repeat(coeff / packed.sizes, packed.sizes)
-    grad = _row_grads(spec, w, X, _labels_for(spec, packed.labels), row_coeff)
+    grad = _row_grads(spec, w, packed.features, y, row_coeff, margins)
     return grad + float(coeff.sum()) * spec.l2_reg * w
+
+
+def _packed_point(spec: LossSpec, packed):
+    """One evaluation per parameter vector of every device's mean loss F_k.
+
+    Returns point(w) -> (every F_k(w) in device order, coeff -> sum_k
+    coeff[k] * grad F_k(w)). The gradient reads the margins of the value
+    pass instead of recomputing them, and its own copy of w; the labels are
+    converted once, here, for every point. The bytes equal packed_losses and
+    packed_weighted_grad.
+    """
+    y = _labels_for(spec, packed.labels)
+
+    def point(w: np.ndarray):
+        w = _check_params(spec, w, packed.features.shape[1]).copy()
+        margins = _margins(spec, w, packed.features, y)
+        values = np.add.reduceat(_row_losses(spec, w, packed.features, y, margins), packed.offsets) / packed.sizes
+        return values, lambda coeff: _weighted_grad(spec, w, packed, y, coeff, margins)
+
+    return point
 
 
 def packed_local_sgd(

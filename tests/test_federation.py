@@ -9,6 +9,7 @@ from tailfed import (
     FederationConfig,
     LossSpec,
     Population,
+    PopulationObjective,
     PowerLawSchedule,
     WeightedValues,
     am_meta,
@@ -19,8 +20,11 @@ from tailfed import (
     population_objectives,
     quadratic_objectives,
     run_federated,
+    smoothed_device_coefficients,
+    smoothed_eta_star,
     smoothed_full_gradient,
     smoothed_objective,
+    smoothed_objective_slope,
     superquantile,
 )
 from tailfed.federation import local_update
@@ -404,6 +408,83 @@ def test_am_single_device_reaches_its_center():
     assert np.linalg.norm(res.params - c) <= 1e-4
     # lone device: threshold settles nu * theta below the loss at the center
     assert res.iterates[-1].eta == pytest.approx(2.0 - 0.2 * 0.5, abs=1e-3)
+
+
+def am_two_pass(values, weighted_grad, weights, theta, nu, schedule, solver, num_iters, w0):
+    """am_meta's iterates from a loop that evaluates afresh every time it needs
+    a value or a gradient, each in its own pass: (params, eta, grad_norm,
+    eta_slope, smoothed_value, nonsmooth_value) per iterate."""
+    p = weights / weights.sum()
+
+    def at(w, eta):
+        wv = WeightedValues(values(w), p)
+        coeff = smoothed_device_coefficients(wv, theta, nu, eta)
+        return wv, smoothed_objective(wv, theta, nu, eta), weighted_grad(w, coeff)
+
+    w = np.array(w0, dtype=np.float64)
+    iterates = []
+    for t in range(num_iters + 1):
+        if t > 0:
+            w = solver.solve(lambda v, e=eta: at(v, e)[1:], w, schedule(t - 1))
+        eta = smoothed_eta_star(WeightedValues(values(w), p), theta, nu)
+        wv, value, g = at(w, eta)
+        slope = smoothed_objective_slope(wv, theta, nu, eta)
+        norm = float(np.sqrt(np.dot(g, g) + slope * slope))
+        iterates.append((w.tobytes(), eta, norm, slope, value, plus_objective(wv, theta, eta)))
+    return iterates
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LossSpec("binary_logistic", l2_reg=0.01),
+        LossSpec("multinomial_logistic", num_classes=3),
+        LossSpec("squared_distance", l2_reg=0.1),
+    ],
+)
+def test_am_meta_evaluates_each_parameter_vector_once(spec):
+    classes = 3 if spec.kind == "multinomial_logistic" else 2
+    pop = gen_hetero_logistic(
+        num_devices=12, n_range=(5, 15), feature_dim=3, num_classes=classes, heterogeneity=0.8, seed=4
+    )
+    objs = population_objectives(pop, spec)
+    points, grads, per_iterate = [], [], []
+
+    def point(w):
+        points.append(w.tobytes())
+        values, weighted_grad = objs.point(w)
+
+        def counted(coeff):
+            grads.append((w.tobytes(), np.asarray(coeff).tobytes()))
+            return weighted_grad(coeff)
+
+        return values, counted
+
+    counting = PopulationObjective(point=point, weights=objs.weights)
+    settings = dict(
+        theta=0.5, nu=0.1, schedule=PowerLawSchedule(0.01, 1.5),
+        solver=CertifiedGradientDescent(strong_convexity=2.0), num_iters=6, w0=np.zeros(spec.param_dim(3)),
+    )
+    res = am_meta(counting, **settings, on_iterate=lambda it: per_iterate.append(len(points)))
+    # Each parameter vector has one point evaluation: the record of an
+    # accepted point and the next step's start reuse what the step computed
+    # there. A point has one gradient per threshold it is taken at, so at
+    # most one per point plus one per record after the start.
+    assert len(set(points)) == len(points) == per_iterate[-1] > len(res.iterates)
+    assert len(set(grads)) == len(grads) <= len(points) + settings["num_iters"]
+    assert per_iterate[0] == 1
+    # The same iterates, bit for bit, as a loop that evaluates values and
+    # gradients separately and afresh at every use.
+    want = am_two_pass(
+        lambda w: models.packed_losses(spec, w, pop),
+        lambda w, coeff: models.packed_weighted_grad(spec, w, pop, coeff),
+        pop.weights, **settings,
+    )
+    got = [
+        (it.params.tobytes(), it.eta, it.grad_norm, it.eta_slope, it.smoothed_value, it.nonsmooth_value)
+        for it in res.iterates
+    ]
+    assert got == want
 
 
 def test_am_population_objectives_agree_with_device_loss():

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailfed import DeviceShard, FederationConfig, LossSpec, Population, deltafl_round, lr_schedule, models
+from tailfed import (
+    DeviceShard,
+    FederationConfig,
+    LossSpec,
+    Population,
+    deltafl_round,
+    lr_schedule,
+    models,
+    population_objectives,
+)
 from tailfed.data import stream
 from tailfed.federation import _visiting_orders, local_update
 
@@ -91,6 +100,24 @@ def test_packed_weighted_grad_matches_sum_of_device_grads(case):
     X, y = pop.features, pop.labels
     for i in range(len(y)):
         assert_close(models.point_grad(spec, w, X[i], y[i]), batch_grad_reference(spec, w, X[i : i + 1], y[i : i + 1]))
+
+
+@SETTINGS
+@given(populations())
+def test_point_evaluation_equals_the_separate_value_and_gradient_passes(case):
+    # The fused point shares the value pass's margins and labels with every
+    # gradient taken at it; that must not change a byte.
+    spec, pop, w, rng = case
+    values, weighted_grad = population_objectives(pop, spec).point(w)
+    assert np.array_equal(values, models.packed_losses(spec, w, pop))
+    n = len(pop)
+    for coeff in (
+        rng.uniform(0.0, 2.0, size=n) * (rng.random(n) < 0.6),
+        np.zeros(n),
+        np.eye(n)[rng.integers(n)],
+        rng.uniform(0.0, 2.0, size=n),
+    ):
+        assert np.array_equal(weighted_grad(coeff), models.packed_weighted_grad(spec, w, pop, coeff))
 
 
 def sgd_reference(spec, w, shard, order, lr, batch_size):
