@@ -9,7 +9,6 @@ from .data import (
     save_devices_jsonl,
     split_devices,
     stream,
-    weights_by_count,
 )
 from .federation import (
     AMResult,

@@ -29,7 +29,6 @@ from . import metrics as metrics_mod
 from . import models
 from .data import Population, gen_gaussian_mixture, gen_hetero_logistic, load_devices_jsonl, split_devices
 from .federation import (
-    AMResult,
     CertifiedGradientDescent,
     FederationConfig,
     PowerLawSchedule,
@@ -150,12 +149,11 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
             ):
                 raise ConfigError("config.data.n_range must be [lo, hi] with 1 <= lo <= hi")
             het = data.get("heterogeneity", 1.0)
-            if not isinstance(het, (int, float)) or het < 0:
-                raise ConfigError("config.data.heterogeneity must be a nonnegative number")
+            if not isinstance(het, (int, float)) or not (0 <= het < np.inf):
+                raise ConfigError("config.data.heterogeneity must be a finite nonnegative number")
         elif gen == "gaussian_mixture":
-            means = data.get("means")
-            if not isinstance(means, list) or not means:
-                raise ConfigError("config.data.means must be a non-empty list of vectors")
+            if _finite_numbers(data.get("means")).ndim != 2:
+                raise ConfigError("config.data.means must be a non-empty list of equal-length finite number vectors")
             if not isinstance(data.get("n_per_device"), int) or data["n_per_device"] < 1:
                 raise ConfigError("config.data.n_per_device must be a positive integer")
         else:
@@ -171,10 +169,15 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
             l2_reg=float(loss_raw.get("l2_reg", 0.0)),
             num_classes=int(loss_raw.get("num_classes", 2)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.loss: {exc}") from exc
 
-    _check_loss_reads_labels(data, loss)
+    gen = data.get("generator")
+    if gen is not None:
+        # hetero_logistic writes -1/+1 for 2 classes and 0..C-1 for more,
+        # gaussian_mixture writes 0. Device files are checked when a run loads them.
+        classes = data["num_classes"] if gen == "hetero_logistic" else 1
+        _check_labels(loss, np.array([-1, 1] if classes == 2 else range(classes)), [0], lambda k: f"{gen} data")
 
     federation = raw.get("federation", {})
     if not isinstance(federation, dict):
@@ -205,6 +208,16 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         am = AMSettings(**am_raw)
     except TypeError as exc:
         raise ConfigError(f"config.am: {exc}") from exc
+    for key, val in vars(am).items():
+        if key == "num_iters" and (type(val) is not int or val < 0):
+            raise ConfigError(f"config.am.num_iters must be an integer >= 0, got {val!r}")
+        if type(val) not in (int, float):
+            raise ConfigError(f"config.am.{key} must be a number, got {val!r}")
+    # The solver and the schedule check their own values.
+    try:
+        _schedule_and_solver(am)
+    except ValueError as exc:
+        raise ConfigError(f"config.am.{exc}") from exc
 
     cfg = ExperimentConfig(
         algorithm=algorithm,
@@ -222,7 +235,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     # Surface federation field errors now rather than at run time.
     try:
         fed = _federation_config(cfg, theta=cfg.thetas[0], seed=cfg.seeds[0])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.federation: {exc}") from exc
     # A run logs and tabulates its last round, so it needs at least one.
     if fed.num_rounds < 1:
@@ -239,42 +252,26 @@ def _distinct(values: list, where: str) -> list:
     return values
 
 
-def _check_loss_reads_labels(data: dict, loss: LossSpec) -> None:
-    # The generators' labels: hetero_logistic writes -1/+1 for 2 classes and
-    # 0..C-1 for more, gaussian_mixture writes 0. Device files are checked
-    # when a run loads them.
-    gen = data.get("generator")
-    if gen is not None:
-        classes = data["num_classes"] if gen == "hetero_logistic" else 1
-        _check_labels(loss, [-1, 1] if classes == 2 else list(range(classes)), f"{gen} data")
-
-
-def _check_labels(loss: LossSpec, labels: list, source: str) -> None:
+def _check_labels(loss: LossSpec, labels: np.ndarray, offsets, source) -> None:
     # What each loss reads: binary_logistic -1/+1, multinomial_logistic class
-    # indices 0..num_classes-1, squared_distance any labels. (Plain Python:
+    # indices 0..num_classes-1, squared_distance any labels. Group k of rows
+    # starts at offsets[k] and is named source(k). (Plain Python sets:
     # np.unique would import numpy.ma, about 1 MB, on every run.)
-    if loss.kind == "squared_distance":
-        return
-    vals = sorted(set(labels))
-    if loss.kind == "binary_logistic" and not set(vals) <= {-1, 1}:
-        problem = "config.loss.kind binary_logistic needs labels -1/+1, but {} has labels {}"
-    elif loss.kind == "multinomial_logistic" and not all(v >= 0 and float(v).is_integer() for v in vals):
-        problem = "config.loss.kind multinomial_logistic needs class labels 0..C-1, but {} has labels {}"
-    elif loss.kind == "multinomial_logistic" and vals[-1] >= loss.num_classes:
-        problem = f"config.loss.num_classes {loss.num_classes} cannot read {{}} with labels {{}}"
+    if loss.kind == "binary_logistic":
+        rules = [("kind binary_logistic needs labels -1/+1", (labels != -1) & (labels != 1))]
+    elif loss.kind == "multinomial_logistic":
+        rules = [
+            ("kind multinomial_logistic needs class labels 0..C-1", (labels < 0) | (labels != np.floor(labels))),
+            (f"num_classes {loss.num_classes} needs class labels below it", labels >= loss.num_classes),
+        ]
     else:
         return
-    shown = "/".join(f"{v:g}" for v in vals[:5]) + ("/..." if len(vals) > 5 else "")
-    raise ConfigError(problem.format(source, shown))
-
-
-def _unreadable_labels(loss: LossSpec, labels: np.ndarray) -> np.ndarray:
-    # The rows whose label _check_labels rejects, as a mask.
-    if loss.kind == "binary_logistic":
-        return (labels != -1) & (labels != 1)
-    if loss.kind == "multinomial_logistic":
-        return (labels < 0) | (labels >= loss.num_classes) | (labels != np.floor(labels))
-    return np.zeros(labels.shape, dtype=bool)
+    for need, bad in rules:
+        if bad.any():
+            k = int(np.searchsorted(offsets, bad.argmax(), side="right")) - 1
+            vals = sorted(set(np.split(labels, offsets[1:])[k].tolist()))
+            shown = "/".join(f"{v:g}" for v in vals[:5]) + ("/..." if len(vals) > 5 else "")
+            raise ConfigError(f"config.loss.{need}, but {source(k)} has labels {shown}")
 
 
 def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> FederationConfig:
@@ -285,12 +282,8 @@ def _build_population(cfg: ExperimentConfig, seed: int) -> Population:
     data = cfg.data
     if "device_file" in data:
         pop = load_devices_jsonl(data["device_file"])
-        bad = np.flatnonzero(_unreadable_labels(cfg.loss, pop.labels))
-        if bad.size:
-            # The first device with a bad row, checked alone for its message.
-            k = int(np.searchsorted(pop.offsets, bad[0], side="right")) - 1
-            rows = pop.labels[pop.offsets[k] : pop.offsets[k] + pop.sizes[k]].tolist()
-            _check_labels(cfg.loss, rows, f"device {pop.device_ids[k]!r} of {data['device_file']}")
+        source = data["device_file"]
+        _check_labels(cfg.loss, pop.labels, pop.offsets, lambda k: f"device {pop.device_ids[k]!r} of {source}")
         return pop
     data_seed = data.get("seed")
     root = int(data_seed) if data_seed is not None else seed
@@ -350,7 +343,8 @@ def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) ->
 
             objectives = population_objectives(train, cfg.loss)
             w0 = models.init_params(cfg.loss, train.feature_dim)
-            result = _solve_am(objectives, theta, fed.nu, cfg.am, w0, on_iterate=write_iterate)
+            steps = _schedule_and_solver(cfg.am)
+            result = am_meta(objectives, theta, fed.nu, *steps, cfg.am.num_iters, w0, on_iterate=write_iterate)
             final = _final_metrics(cfg, result.params, train, test)
             final["grad_norm"] = result.iterates[-1].grad_norm
             return final
@@ -373,10 +367,9 @@ def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) ->
         return final
 
 
-def _solve_am(objectives, theta: float, nu: float, am: AMSettings, w0: np.ndarray, on_iterate=None) -> AMResult:
+def _schedule_and_solver(am: AMSettings) -> tuple[PowerLawSchedule, CertifiedGradientDescent]:
     solver = CertifiedGradientDescent(strong_convexity=am.strong_convexity, initial_step=am.initial_step)
-    schedule = PowerLawSchedule(am.eps0, am.exponent)
-    return am_meta(objectives, theta, nu, schedule, solver, am.num_iters, w0, on_iterate=on_iterate)
+    return PowerLawSchedule(am.eps0, am.exponent), solver
 
 
 def _label(cfg: ExperimentConfig, theta: float) -> str:
@@ -452,7 +445,7 @@ def cmd_gaussian_demo(output_dir: str, means=None, n_per_device: int = 10_000, s
     report: dict = {"means": pts.tolist(), "targets": targets, "analytic": {}, "sampled": {}}
     for theta, target_key in ((1.0, "centroid"), (2.0 / 3.0, "tail_midpoints")):
         for mode, objectives in (("analytic", analytic), ("sampled", sampled)):
-            w = _solve_am(objectives, theta, nu, am, np.zeros(2)).params
+            w = am_meta(objectives, theta, nu, *_schedule_and_solver(am), am.num_iters, np.zeros(2)).params
             if target_key == "centroid":
                 dist = float(np.linalg.norm(w - np.asarray(targets["centroid"])))
                 entry = {"final": w.tolist(), "target": targets["centroid"], "distance": dist}
@@ -478,17 +471,24 @@ def cmd_gaussian_demo(output_dir: str, means=None, n_per_device: int = 10_000, s
     return 0
 
 
+def _finite_numbers(value) -> np.ndarray:
+    # A JSON array of finite numbers as floats, else an empty array. JSON
+    # strings stay strings here ("0" is not read as 0), so only numbers pass.
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged lists
+        return np.zeros(0)
+    return arr.astype(np.float64) if arr.size and arr.dtype.kind in "iuf" and np.isfinite(arr).all() else np.zeros(0)
+
+
 def _demo_means(text: str) -> np.ndarray:
     try:
-        means = np.asarray(json.loads(text))
+        means = _finite_numbers(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--means is not valid JSON: {exc}") from exc
-    except ValueError:  # ragged lists
-        means = np.zeros(0)
-    # JSON strings stay strings here ("0" is not read as 0), so only numbers pass.
-    if means.shape != (3, 2) or means.dtype.kind not in "iuf" or not np.isfinite(means).all():
+    if means.shape != (3, 2):
         raise ConfigError(f"--means must be three [x, y] pairs of finite numbers, got {text}")
-    return means.astype(np.float64)
+    return means
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:

@@ -2,6 +2,8 @@
 
 A population holds every device's rows once, packed, with strictly positive
 sampling weights that sum to 1; ``Population.shards`` views them per device.
+The generators and the device-file parser build each population with one
+constructor call on the packed rows, weighting devices by their row counts.
 Every generator derives per-device randomness from a single root seed so
 populations are bit-reproducible; device k draws from a stream keyed by
 (root seed, k) and is therefore unaffected by how many other devices exist.
@@ -17,7 +19,7 @@ import os
 import stat
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -72,8 +74,8 @@ class Population:
         ids = tuple(self.device_ids)
         if sizes.ndim != 1 or sizes.size == 0:
             raise ValueError("population needs at least one device")
-        if features.ndim != 2 or labels.shape != features.shape[:1]:
-            raise ValueError(f"features {features.shape} and labels {labels.shape} must be (N, p) and (N,)")
+        if features.ndim != 2 or features.shape[1] == 0 or labels.shape != features.shape[:1]:
+            raise ValueError(f"features {features.shape} and labels {labels.shape} must be (N, p) and (N,), p >= 1")
         if sizes.dtype.kind not in "iu" or sizes.min() < 1 or sizes.sum() != features.shape[0]:
             raise ValueError(f"device sizes must be integers of at least 1 that sum to the {features.shape[0]} rows")
         sizes = sizes.astype(np.int64, copy=False)
@@ -135,12 +137,6 @@ class Population:
         )
 
 
-def weights_by_count(shards: list[DeviceShard]) -> Population:
-    """Population whose device weights are proportional to shard sizes."""
-    pop = Population.from_shards(shards)
-    return replace(pop, weights=pop.sizes / pop.sizes.sum())
-
-
 def stream(seed: int, *tags: int) -> np.random.Generator:
     """The random stream named by a seed and nonnegative integer tags.
 
@@ -161,18 +157,14 @@ def gen_gaussian_mixture(means, n_per_device: int, seed: int) -> Population:
     squared_distance loss).
     """
     means = np.asarray(means, dtype=np.float64)
-    if means.ndim != 2 or means.shape[0] == 0:
-        raise ValueError("means must be a non-empty (N, p) array")
+    if means.ndim != 2 or means.size == 0 or not np.isfinite(means).all():
+        raise ValueError("means must be a non-empty (N, p) array of finite numbers")
     if n_per_device < 1:
         raise ValueError("n_per_device must be >= 1")
-    shards = []
-    for k in range(means.shape[0]):
-        rng = stream(seed, 0, k)
-        X = means[k][None, :] + rng.standard_normal((n_per_device, means.shape[1]))
-        shards.append(
-            DeviceShard(f"dev{k:03d}", X, np.zeros(n_per_device, dtype=np.int64), 1.0 / means.shape[0])
-        )
-    return Population.from_shards(shards)
+    num, dim = means.shape
+    X = np.concatenate([means[k] + stream(seed, 0, k).standard_normal((n_per_device, dim)) for k in range(num)])
+    labels = np.zeros(num * n_per_device, dtype=np.int64)
+    return Population(X, labels, np.full(num, n_per_device), [f"dev{k:03d}" for k in range(num)], np.full(num, 1 / num))
 
 
 def gen_hetero_logistic(
@@ -190,7 +182,7 @@ def gen_hetero_logistic(
     where delta_k has standard normal entries. Device feature clouds are
     also shifted: x ~ N(heterogeneity * c_k, I) with c_k standard normal
     scaled by 1/2, so at heterogeneity 0 every device sees the same
-    distribution and the same labeling model. Shard sizes are uniform on
+    distribution and the same labeling model. Device sizes are uniform on
     n_range inclusive; weights are proportional to size.
     """
     if num_devices < 1:
@@ -198,16 +190,18 @@ def gen_hetero_logistic(
     lo, hi = int(n_range[0]), int(n_range[1])
     if not (1 <= lo <= hi):
         raise ValueError(f"n_range must satisfy 1 <= lo <= hi, got {n_range!r}")
+    if feature_dim < 1:
+        raise ValueError("feature_dim must be >= 1")
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
-    if heterogeneity < 0.0:
-        raise ValueError("heterogeneity must be nonnegative")
+    if not (0.0 <= heterogeneity < np.inf):
+        raise ValueError("heterogeneity must be finite and nonnegative")
     root = stream(seed, 1)
     if num_classes == 2:
         w_bar = root.standard_normal(feature_dim) * (2.0 / np.sqrt(feature_dim))
     else:
         w_bar = root.standard_normal((num_classes, feature_dim)) * (2.0 / np.sqrt(feature_dim))
-    shards = []
+    Xs, ys = [], []
     for k in range(num_devices):
         rng = stream(seed, 0, k)
         n = int(rng.integers(lo, hi + 1))
@@ -225,8 +219,11 @@ def gen_hetero_logistic(
             probs /= probs.sum(axis=1, keepdims=True)
             u = rng.random(n)
             y = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).astype(np.int64)
-        shards.append(DeviceShard(f"dev{k:03d}", X, y))
-    return weights_by_count(shards)
+        Xs.append(X)
+        ys.append(y)
+    sizes = np.array([y.size for y in ys])
+    ids = [f"dev{k:03d}" for k in range(num_devices)]
+    return Population(np.concatenate(Xs), np.concatenate(ys), sizes, ids, sizes / sizes.sum())
 
 
 def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Population, Population]:
@@ -244,14 +241,14 @@ def split_devices(pop: Population, fraction: float, seed: int) -> tuple[Populati
 def save_devices_jsonl(pop: Population, path) -> None:
     """One JSON object per line: {"id": ..., "x": [[...]], "y": [...]}."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in pop.shards:
-            y = s.labels
+        for dev, a, b in zip(pop.device_ids, pop.offsets.tolist(), (pop.offsets + pop.sizes).tolist()):
+            y = pop.labels[a:b]
             # Packing makes every label float64 once one device's is real;
             # write a device of whole-number labels as integers, as it was read.
             if y.dtype.kind == "f" and _whole(y):
                 y = y.astype(np.int64)
-            rec = {"id": s.device_id, "x": s.features.tolist(), "y": y.tolist()}
-            fh.write(json.dumps(rec) + "\n")
+            # One device's rows as Python floats at a time, not the whole population's.
+            fh.write(json.dumps({"id": dev, "x": pop.features[a:b].tolist(), "y": y.tolist()}) + "\n")
 
 
 def _whole(y: np.ndarray) -> bool:
@@ -262,7 +259,7 @@ def _whole(y: np.ndarray) -> bool:
 def load_devices_jsonl(path) -> Population:
     """Read a device file written by save_devices_jsonl.
 
-    Device weights are set proportional to shard sizes. Malformed lines
+    Device weights are proportional to device sizes. Malformed lines
     raise ValueError naming the line number and, when known, the device id;
     so do a repeated device id and an id that is neither a string nor an
     integer (an integer id reads as its decimal text).
@@ -369,9 +366,9 @@ def _numbers(values) -> bool:
 
 
 def _parse_devices(lines, path) -> Population:
-    shards: list[DeviceShard] = []
-    first_line: dict[str, int] = {}
-    dim: int | None = None
+    Xs: list[np.ndarray] = []
+    ys: list[np.ndarray] = []
+    first_line: dict[str, int] = {}  # device id -> its line, in file order
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -397,7 +394,7 @@ def _parse_devices(lines, path) -> Population:
             raise ValueError(f"line {lineno} (device {dev!r}): x is not a numeric matrix")
         if not np.isfinite(X).all():
             raise ValueError(f"line {lineno} (device {dev!r}): x has a non-finite value")
-        if X.ndim != 2 or X.shape[0] == 0:
+        if X.ndim != 2 or X.size == 0:
             raise ValueError(f"line {lineno} (device {dev!r}): x must be a non-empty matrix")
         y_raw = rec["y"]
         if not isinstance(y_raw, list) or len(y_raw) != X.shape[0]:
@@ -414,13 +411,11 @@ def _parse_devices(lines, path) -> Population:
             y = y.astype(np.int64)
         elif not np.isfinite(y).all():
             raise ValueError(f"line {lineno} (device {dev!r}): y has a non-finite value")
-        if dim is None:
-            dim = X.shape[1]
-        elif X.shape[1] != dim:
-            raise ValueError(
-                f"line {lineno} (device {dev!r}): feature dimension {X.shape[1]} != {dim}"
-            )
-        shards.append(DeviceShard(dev, X, y))
-    if not shards:
+        if Xs and X.shape[1] != Xs[0].shape[1]:
+            raise ValueError(f"line {lineno} (device {dev!r}): feature dimension {X.shape[1]} != {Xs[0].shape[1]}")
+        Xs.append(X)
+        ys.append(y)
+    if not Xs:
         raise ValueError(f"{path}: no devices found")
-    return weights_by_count(shards)
+    sizes = np.array([y.size for y in ys])
+    return Population(np.concatenate(Xs), np.concatenate(ys), sizes, list(first_line), sizes / sizes.sum())

@@ -71,8 +71,8 @@ class FederationConfig:
             raise ValueError("n_local must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (self.lr0 > 0.0):
-            raise ValueError("lr0 must be positive")
+        if not (0.0 < self.lr0 < math.inf):
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.lr_decay_every < 1:
@@ -372,10 +372,10 @@ class PowerLawSchedule:
     exponent: float = 1.5
 
     def __post_init__(self) -> None:
-        if not (self.eps0 > 0.0):
-            raise ValueError("eps0 must be positive")
-        if not (self.exponent > 1.0):
-            raise ValueError("exponent must exceed 1 for a summable budget")
+        if not (0.0 < self.eps0 < math.inf):
+            raise ValueError(f"eps0 must be positive and finite, got {self.eps0!r}")
+        if not (1.0 < self.exponent < math.inf):
+            raise ValueError(f"exponent must be finite and exceed 1 for a summable budget, got {self.exponent!r}")
 
     def __call__(self, t: int) -> float:
         return self.eps0 * (t + 1) ** (-self.exponent)
@@ -395,6 +395,11 @@ class CertifiedGradientDescent:
     initial_step: float = 0.25
     margin: float = 1e-3
     max_iters: int = 200_000
+
+    def __post_init__(self) -> None:
+        for name in ("strong_convexity", "initial_step", "margin", "max_iters"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
 
     def solve(
         self,

@@ -39,8 +39,8 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
-        if self.l2_reg < 0.0:
-            raise ValueError(f"l2_reg must be nonnegative, got {self.l2_reg!r}")
+        if not (0.0 <= self.l2_reg < np.inf):
+            raise ValueError(f"l2_reg must be finite and nonnegative, got {self.l2_reg!r}")
         if self.kind == "multinomial_logistic" and self.num_classes < 2:
             raise ValueError("multinomial_logistic needs num_classes >= 2")
 

@@ -422,6 +422,57 @@ def test_validate_rejects_loss_that_cannot_read_the_labels(tmp_path, capsys, dat
     assert not (tmp_path / "out").exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "where, value, field",
+    [
+        ("data.heterogeneity", NAN, "config.data.heterogeneity"),
+        ("data.heterogeneity", INF, "config.data.heterogeneity"),
+        ("data.feature_dim", 0, "config.data.feature_dim"),
+        ("data.means", [[0.0, NAN], [1.0, 0.0]], "config.data.means"),
+        ("data.means", [[0.0, 0.0], [1.0]], "config.data.means"),
+        ("data.means", [["0", "1"], ["1", "0"]], "config.data.means"),
+        ("loss.l2_reg", NAN, "config.loss: l2_reg"),
+        ("federation.lr0", INF, "config.federation: lr0"),
+        ("am.strong_convexity", -1, "config.am.strong_convexity"),
+        ("am.initial_step", NAN, "config.am.initial_step"),
+        ("am.num_iters", "2", "config.am.num_iters"),
+        ("am.eps0", INF, "config.am.eps0"),
+    ],
+    ids=[
+        "nan-heterogeneity", "infinite-heterogeneity", "zero-feature-dim", "nan-mean", "ragged-means",
+        "string-means", "nan-l2-reg", "infinite-lr0", "negative-strong-convexity", "nan-initial-step",
+        "string-num-iters", "infinite-eps0",
+    ],
+)
+def test_bad_values_are_config_errors_at_validate_and_run(tmp_path, capsys, where, value, field):
+    # Each would otherwise fail mid-run with exit 2 (a diverged round 0, a
+    # numpy error), or run with a zero-width model or no AM certificate.
+    cfg = tiny_config(tmp_path / "out", algorithm="am_meta", thetas=[0.5])
+    if where == "data.means":
+        cfg["data"], cfg["loss"] = dict(GAUSSIAN_DATA), {"kind": "squared_distance"}
+    section, key = where.split(".")
+    cfg.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, cfg)
+    for argv in (["validate", "--config", path], ["run", "--config", path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_zero_width_device_file(tmp_path, capsys):
+    # Not a run of a model with no parameters: the load names the line and the device.
+    device_file = tmp_path / "devices.jsonl"
+    device_file.write_text('{"id": "a", "x": [[]], "y": [1]}\n')
+    cfg = tiny_config(tmp_path / "out", data={"device_file": str(device_file)})
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == "error: line 1 (device 'a'): x must be a non-empty matrix\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_accepts_loss_that_reads_the_labels(tmp_path):
     ok = [
         (3, {"kind": "multinomial_logistic", "num_classes": 3}),

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from tailfed import (
     save_devices_jsonl,
     split_devices,
     stream,
-    weights_by_count,
 )
 
 
@@ -48,7 +49,6 @@ def test_population_leaves_its_shards_alone():
     shards = [DeviceShard(d, np.zeros((1, 2)), np.zeros(1), weight=1.0) for d in "ab"]
     pop = Population.from_shards(shards)
     Population.from_shards(shards[:1])
-    weights_by_count(shards)
     assert pop.weights.tolist() == [0.5, 0.5]
     WeightedValues(np.zeros(2), pop.weights)  # a profile takes the weights as they are
     assert [s.weight for s in shards] == [1.0, 1.0]
@@ -108,6 +108,7 @@ def test_population_constructor_checks_its_arrays():
         "integers of": dict(sizes=[1.5, 1.5]),
         r"one device id per device \(2\), got 3": dict(device_ids=("a", "b", "c")),
         "one finite, positive weight": dict(weights=[1.0, 0.0]),
+        r"\(3, 0\) and labels \(3,\) must be \(N, p\) and \(N,\), p >= 1": dict(features=np.zeros((3, 0))),
     }
     for message, bad in cases.items():
         with pytest.raises(ValueError, match=message):
@@ -124,13 +125,100 @@ def test_population_constructor_views_its_inputs_without_writing_their_flags():
     assert pop.weights.tolist() == [1.0]
 
 
-def test_weights_by_count():
-    shards = [
-        DeviceShard("a", np.zeros((2, 2)), np.array([1, -1])),
-        DeviceShard("b", np.zeros((6, 2)), np.array([1, -1, 1, -1, 1, -1])),
-    ]
-    pop = weights_by_count(shards)
-    assert pop.weights == pytest.approx([0.25, 0.75])
+def test_weights_by_count(tmp_path):
+    # Generated and parsed devices are weighted by their share of the rows.
+    pop = gen_hetero_logistic(7, (1, 9), 2, 2, 0.5, seed=3)
+    assert pop.weights.tolist() == (pop.sizes / pop.sizes.sum()).tolist()
+    path = tmp_path / "devices.jsonl"
+    rows = [(2, [1, -1]), (6, [1, -1, 1, -1, 1, -1])]
+    path.write_text("".join(json.dumps({"id": d, "x": [[0.0]] * n, "y": y}) + "\n" for d, (n, y) in zip("ab", rows)))
+    for _ in ("cold", "warm"):
+        assert load_devices_jsonl(path).weights.tolist() == [0.25, 0.75]
+
+
+def packed_reference(ids, rows):
+    """Population.from_shards of per-device (X, y) arrays, weighted by the devices' shares of the rows."""
+    sizes = np.array([len(y) for _, y in rows])
+    weights = (sizes / sizes.sum()).tolist()
+    return Population.from_shards([DeviceShard(d, X, y, w) for d, (X, y), w in zip(ids, rows, weights)])
+
+
+def last_device(pop):
+    return pop.features[pop.offsets[-1] :], pop.labels[pop.offsets[-1] :]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    num_devices=st.integers(1, 5),
+    n_range=st.tuples(st.integers(1, 4), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1])),
+    dim=st.integers(1, 3),
+    classes=st.integers(2, 4),
+    het=st.floats(0.0, 2.0),
+    seed=st.integers(-(2**63), 2**63 - 1),
+)
+def test_generated_populations_equal_a_packing_of_their_devices(num_devices, n_range, dim, classes, het, seed):
+    # Device k draws from stream (seed, 0, k) alone, so its rows are the last
+    # device's rows of the population of its first k + 1 devices.
+    ids = [f"dev{k:03d}" for k in range(num_devices)]
+    pop = gen_hetero_logistic(num_devices, n_range, dim, classes, het, seed)
+    rows = [last_device(gen_hetero_logistic(k + 1, n_range, dim, classes, het, seed)) for k in range(num_devices)]
+    assert_same_population(pop, packed_reference(ids, rows))
+    means = stream(seed, 9).normal(size=(num_devices, dim))
+    pop = gen_gaussian_mixture(means, n_range[1], seed)
+    rows = [last_device(gen_gaussian_mixture(means[: k + 1], n_range[1], seed)) for k in range(num_devices)]
+    assert_same_population(pop, packed_reference(ids, rows))
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+device_rows = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(finite, min_size=2, max_size=2), min_size=n, max_size=n),
+        st.one_of(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            # real labels, none whole, so the parser keeps them real
+            st.lists(finite.map(lambda v: v + 0.5 if v.is_integer() else v), min_size=n, max_size=n),
+        ),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(devices=st.lists(device_rows, min_size=1, max_size=5))
+def test_parsed_populations_equal_a_packing_of_their_devices(devices):
+    ids = [f"d{k}" for k in range(len(devices))]
+    want = packed_reference(ids, [(np.array(x, dtype=np.float64), np.array(y)) for x, y in devices])
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "devices.jsonl"
+        path.write_text("".join(json.dumps({"id": d, "x": x, "y": y}) + "\n" for d, (x, y) in zip(ids, devices)))
+        for _ in ("cold", "warm"):
+            assert_same_population(load_devices_jsonl(path), want)
+
+
+def test_generators_parser_and_writer_build_no_shards_and_one_population(tmp_path, monkeypatch):
+    built = []
+    init = Population.__post_init__
+
+    def no_shard(self):
+        raise AssertionError(f"built a DeviceShard for {self.device_id!r}")
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(DeviceShard, "__post_init__", no_shard)
+    monkeypatch.setattr(Population, "__post_init__", counted)
+    pops = [gen_hetero_logistic(6, (2, 5), 3, 3, 1.0, seed=2), gen_gaussian_mixture(np.eye(3), 4, seed=1)]
+    assert built == pops
+    path = tmp_path / "devices.jsonl"
+    save_devices_jsonl(pops[0], path)
+    for copy_before in (False, True):
+        assert copy_of(path).exists() == copy_before
+        built.clear()
+        pop = load_devices_jsonl(path)
+        assert built == [pop]
+    built.clear()
+    save_devices_jsonl(pop, tmp_path / "again.jsonl")
+    assert built == [] and (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -240,6 +328,16 @@ def test_generator_argument_validation():
         gen_hetero_logistic(2, (1, 2), 3, 2, -0.5, seed=0)
     with pytest.raises(ValueError):
         gen_gaussian_mixture(np.zeros((0, 2)), 5, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero width on the way
+        with pytest.raises(ValueError, match="feature_dim must be >= 1"):
+            gen_hetero_logistic(2, (1, 2), 0, 2, 0.5, seed=0)
+    for heterogeneity in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="heterogeneity must be finite and nonnegative"):
+            gen_hetero_logistic(2, (1, 2), 3, 2, heterogeneity, seed=0)
+    for means in ([[0.0, np.nan]], [[np.inf, 0.0]], np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="means must be a non-empty"):
+            gen_gaussian_mixture(means, 5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +443,15 @@ def test_jsonl_non_finite_values_name_line_and_device(tmp_path, line, where):
     path.write_text('{"id": "ok", "x": [[0.0, 1.0]], "y": [1]}\n' + line + "\n")
     with pytest.raises(ValueError, match=rf"line 2 \(device 'a'\): {where} has a non-finite value"):
         load_devices_jsonl(path)
+
+
+def test_jsonl_zero_width_features_name_line_and_device(tmp_path):
+    # A device with no feature columns would give a model with no parameters.
+    path = tmp_path / "flat.jsonl"
+    for line, good in enumerate(("", '{"id": "ok", "x": [[0.0]], "y": [1]}\n'), start=1):
+        path.write_text(good + '{"id": "a", "x": [[], []], "y": [1, 1]}\n')
+        with pytest.raises(ValueError, match=rf"line {line} \(device 'a'\): x must be a non-empty matrix"):
+            load_devices_jsonl(path)
 
 
 def test_jsonl_whole_labels_beyond_int64_stay_real(tmp_path):
