@@ -1,7 +1,6 @@
 """Federated learning simulator with a tail-focused training objective."""
 
 from .data import (
-    DeviceShard,
     Population,
     gen_gaussian_mixture,
     gen_hetero_logistic,

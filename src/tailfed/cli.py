@@ -119,14 +119,14 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if not thetas:
         raise ConfigError("config.thetas must be non-empty")
     for theta in thetas:
-        if not isinstance(theta, (int, float)) or not (0.0 < float(theta) <= 1.0):
-            raise ConfigError(f"config.thetas entries must lie in (0, 1], got {theta!r}")
+        if type(theta) not in (int, float) or not (0.0 < float(theta) <= 1.0):
+            raise ConfigError(f"config.thetas entries must be numbers in (0, 1], got {theta!r}")
     thetas = _distinct([float(t) for t in thetas], "config.thetas")
     # Every fedavg cell runs at theta 1, so another theta would train the same cell again.
     if algorithm == "fedavg" and thetas != [1.0]:
         raise ConfigError(f"config.thetas must be [1.0] for fedavg, got {thetas!r}")
     seeds = _need(raw, "seeds", list, "config")
-    if not seeds or not all(isinstance(s, int) for s in seeds):
+    if not seeds or not all(type(s) is int for s in seeds):
         raise ConfigError("config.seeds must be a non-empty list of integers")
     seeds = _distinct([int(s) for s in seeds], "config.seeds")
 
@@ -138,23 +138,23 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         gen = data["generator"]
         if gen == "hetero_logistic":
             for key, least in (("num_devices", 1), ("feature_dim", 1), ("num_classes", 2)):
-                if not isinstance(data.get(key), int) or data[key] < least:
+                if type(data.get(key)) is not int or data[key] < least:
                     raise ConfigError(f"config.data.{key} must be an integer >= {least}")
             nr = data.get("n_range")
             if (
                 not isinstance(nr, list)
                 or len(nr) != 2
-                or not all(isinstance(v, int) for v in nr)
+                or not all(type(v) is int for v in nr)
                 or not (1 <= nr[0] <= nr[1])
             ):
                 raise ConfigError("config.data.n_range must be [lo, hi] with 1 <= lo <= hi")
             het = data.get("heterogeneity", 1.0)
-            if not isinstance(het, (int, float)) or not (0 <= het < np.inf):
+            if type(het) not in (int, float) or not (0 <= het < np.inf):
                 raise ConfigError("config.data.heterogeneity must be a finite nonnegative number")
         elif gen == "gaussian_mixture":
             if _finite_numbers(data.get("means")).ndim != 2:
                 raise ConfigError("config.data.means must be a non-empty list of equal-length finite number vectors")
-            if not isinstance(data.get("n_per_device"), int) or data["n_per_device"] < 1:
+            if type(data.get("n_per_device")) is not int or data["n_per_device"] < 1:
                 raise ConfigError("config.data.n_per_device must be a positive integer")
         else:
             raise ConfigError(f"config.data.generator must be hetero_logistic or gaussian_mixture, got {gen!r}")
@@ -163,11 +163,12 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
     loss_raw = _need(raw, "loss", dict, "config")
     kind = _need(loss_raw, "kind", str, "config.loss")
+    _check_types(loss_raw, LossSpec, "config.loss")
     try:
         loss = LossSpec(
             kind=kind,
             l2_reg=float(loss_raw.get("l2_reg", 0.0)),
-            num_classes=int(loss_raw.get("num_classes", 2)),
+            num_classes=loss_raw.get("num_classes", 2),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.loss: {exc}") from exc
@@ -187,18 +188,19 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     unknown = set(federation) - allowed
     if unknown:
         raise ConfigError(f"config.federation has unknown fields: {sorted(unknown)}")
+    _check_types(federation, FederationConfig, "config.federation")
 
     eval_every = raw.get("eval_every", 0)
-    if not isinstance(eval_every, int) or eval_every < 0:
+    if type(eval_every) is not int or eval_every < 0:
         raise ConfigError("config.eval_every must be a nonnegative integer")
 
     split_fraction = raw.get("split_fraction")
     if split_fraction is not None and (
-        not isinstance(split_fraction, (int, float)) or not (0.0 < split_fraction < 1.0)
+        type(split_fraction) not in (int, float) or not (0.0 < split_fraction < 1.0)
     ):
         raise ConfigError("config.split_fraction must lie strictly between 0 and 1")
     split_seed = raw.get("split_seed", 0)
-    if not isinstance(split_seed, int):
+    if type(split_seed) is not int:
         raise ConfigError("config.split_seed must be an integer")
 
     am_raw = raw.get("am", {})
@@ -208,11 +210,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         am = AMSettings(**am_raw)
     except TypeError as exc:
         raise ConfigError(f"config.am: {exc}") from exc
-    for key, val in vars(am).items():
-        if key == "num_iters" and (type(val) is not int or val < 0):
-            raise ConfigError(f"config.am.num_iters must be an integer >= 0, got {val!r}")
-        if type(val) not in (int, float):
-            raise ConfigError(f"config.am.{key} must be a number, got {val!r}")
+    _check_types(am_raw, AMSettings, "config.am")
+    if am.num_iters < 0:
+        raise ConfigError(f"config.am.num_iters must be an integer >= 0, got {am.num_iters!r}")
     # The solver and the schedule check their own values.
     try:
         _schedule_and_solver(am)
@@ -241,6 +241,14 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if fed.num_rounds < 1:
         raise ConfigError(f"config.federation.num_rounds must be >= 1, got {fed.num_rounds!r}")
     return cfg
+
+
+def _check_types(raw: dict, cls, where: str) -> None:
+    # A given field must have the Python type it is annotated with; a float takes an int, no number a bool.
+    types = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+    for f in fields(cls):
+        if f.name in raw and f.type in types and type(raw[f.name]) not in types[f.type]:
+            raise ConfigError(f"{where}.{f.name} must be of type {f.type}, got {json.dumps(raw[f.name])}")
 
 
 def _distinct(values: list, where: str) -> list:

@@ -1,12 +1,13 @@
 """Populations of devices, synthetic generators, and on-disk interchange.
 
 A population holds every device's rows once, packed, with strictly positive
-sampling weights that sum to 1; ``Population.shards`` views them per device.
-The generators and the device-file parser build each population with one
-constructor call on the packed rows, weighting devices by their row counts.
-Every generator derives per-device randomness from a single root seed so
-populations are bit-reproducible; device k draws from a stream keyed by
-(root seed, k) and is therefore unaffected by how many other devices exist.
+sampling weights that sum to 1; ``Population.shards`` views each device as a
+one-device population. The generators and the device-file parser build each
+population with one constructor call on the packed rows, weighting devices by
+their row counts. Every generator derives per-device randomness from a single
+root seed so populations are bit-reproducible; device k draws from a stream
+keyed by (root seed, k) and is therefore unaffected by how many other devices
+exist.
 """
 
 from __future__ import annotations
@@ -25,27 +26,6 @@ from functools import cached_property
 import numpy as np
 
 from .superquantile import EPS
-
-
-@dataclass
-class DeviceShard:
-    device_id: str
-    features: np.ndarray  # (n, p)
-    labels: np.ndarray  # (n,)
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
-            raise ValueError(f"device {self.device_id!r}: features must be a non-empty (n, p) array")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError(f"device {self.device_id!r}: labels must match the number of rows")
-        if not (self.weight > 0.0):
-            raise ValueError(f"device {self.device_id!r}: weight must be positive")
-
-    def __len__(self) -> int:
-        return int(self.features.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,22 +73,6 @@ class Population:
             object.__setattr__(self, name, view)
         object.__setattr__(self, "device_ids", ids)
 
-    @classmethod
-    def from_shards(cls, shards: list[DeviceShard]) -> "Population":
-        """A copy of the shards' rows, in shard order, weighted by the shards' weights."""
-        if not shards:
-            raise ValueError("population needs at least one device")
-        dims = {s.features.shape[1] for s in shards}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent feature dimensions across devices: {sorted(dims)}")
-        return cls(
-            features=np.concatenate([s.features for s in shards]),
-            labels=np.concatenate([s.labels for s in shards]),
-            sizes=[len(s) for s in shards],
-            device_ids=[s.device_id for s in shards],
-            weights=[s.weight for s in shards],
-        )
-
     def __len__(self) -> int:
         return int(self.sizes.size)
 
@@ -117,10 +81,11 @@ class Population:
         return int(self.features.shape[1])
 
     @cached_property
-    def shards(self) -> tuple[DeviceShard, ...]:
-        """Every device as a DeviceShard of read-only views of its rows, built on first use."""
-        rows = zip(np.split(self.features, self.offsets[1:]), np.split(self.labels, self.offsets[1:]))
-        return tuple(DeviceShard(d, X, y, w) for d, (X, y), w in zip(self.device_ids, rows, self.weights.tolist()))
+    def shards(self) -> tuple[Population, ...]:
+        """Every device as a one-device Population of weight 1 that views its rows, built on first use."""
+        cuts = self.offsets[1:]
+        rows = zip(np.split(self.features, cuts), np.split(self.labels, cuts), np.split(self.sizes, len(self)))
+        return tuple(Population(X, y, n, (d,), (1.0,)) for d, (X, y, n) in zip(self.device_ids, rows))
 
     def select(self, devices) -> "Population":
         """The given devices (indices into this population), in that order, weights renormalized."""

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .data import DeviceShard, Population, stream
+from .data import Population, stream
 from .models import LossSpec
 from .secure_agg import _weighted_mean, make_masked_aggregator, masked_weighted_sum, secure_quantile_for_round
 from .superquantile import (
@@ -146,7 +146,7 @@ def _batch_size(cfg: FederationConfig) -> int:
 
 
 def local_update(
-    shard: DeviceShard,
+    shard: Population,
     w: np.ndarray,
     lr: float,
     cfg: FederationConfig,
@@ -154,14 +154,17 @@ def local_update(
 ) -> np.ndarray:
     """Local SGD pass on one device, starting from the broadcast parameters.
 
-    Epoch mode shuffles the shard once and walks it in mini-batches; point
-    mode performs n_local single-example steps sampled with replacement.
-    This is the one-device case of a round's local training: the order is
-    drawn from rng as a round draws from its stream, with the same kernel.
+    ``shard`` is a one-device population, such as ``pop.shards[k]``. Epoch
+    mode shuffles its rows once and walks them in mini-batches; point mode
+    performs n_local single-example steps sampled with replacement. This is
+    the one-device case of a round's local training: the order is drawn from
+    rng as a round draws from its stream, with the same kernel.
     """
-    one = Population.from_shards([shard])
-    order, counts = _visiting_orders(cfg, one, rng)
-    return models.packed_local_sgd(cfg.loss, w, one, order, counts, lr, _batch_size(cfg))[0]
+    if len(shard) != 1:
+        raise ValueError(f"local_update trains one device, got a population of {len(shard)}")
+    w = models._check_params(cfg.loss, w, shard.feature_dim)
+    order, counts = _visiting_orders(cfg, shard, rng)
+    return models._local_sgd(cfg.loss, w, shard, order, counts, lr, _batch_size(cfg))[0]
 
 
 def _finite_losses(cfg: FederationConfig, w: np.ndarray, sample: Population, t: int, which: str) -> np.ndarray:
@@ -241,8 +244,7 @@ def deltafl_round(
         eta, keep = None, np.ones(len(idx), dtype=bool)
 
     # The sample trains as drawn, but a dropped device has no visits: it takes
-    # no step and has no row in the result. The orders were drawn here, so
-    # training skips the checks of packed_local_sgd.
+    # no step and has no row in the result.
     visits = np.repeat(keep, counts)
     lr = lr_schedule(cfg, t)
     trained = models._local_sgd(cfg.loss, w, sample, order[visits], counts * keep, lr, _batch_size(cfg))
@@ -321,18 +323,11 @@ class PopulationObjective:
     in device order and a function coeff -> sum_k coeff[k] * grad F_k(w)
     that reads what the value pass computed (for the logistic losses, the
     margins), so a value and any number of weighted gradients at one w cost
-    one pass over the population. ``values`` and ``weighted_grad`` are views
-    of one point evaluation each.
+    one pass over the population.
     """
 
     point: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
     weights: np.ndarray
-
-    def values(self, w: np.ndarray) -> np.ndarray:
-        return self.point(w)[0]
-
-    def weighted_grad(self, w: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        return self.point(w)[1](coeff)
 
 
 def population_objectives(pop: Population, spec: LossSpec) -> PopulationObjective:

@@ -52,10 +52,10 @@ class DeviceMetricTable:
 
 
 def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
-    """Build a table over every shard of a population.
+    """Build a table over every device of a population.
 
     values is either one value per device in device order (as the packed
-    kernels in tailfed.models return them) or a function applied to each shard.
+    kernels in tailfed.models return them) or a function of each pop.shards[k].
     """
     if callable(values):
         values = [values(s) for s in pop.shards]

@@ -15,9 +15,11 @@ The ``packed_*`` kernels evaluate every device of a
 ``tailfed.data.Population`` in one vectorized pass: one matmul over its
 packed rows, then ``np.add.reduceat`` over the device segments.
 ``_packed_point`` evaluates the values once per parameter vector and hands
-their margins to every gradient taken there. The per-point and per-shard
+their margins to every gradient taken there, and ``_local_sgd`` trains
+every device with visits in lockstep. The per-point and per-device
 functions (``point_loss``, ``point_grad``, ``device_loss``, ``device_error``)
-are the same formulas on one example or one shard; the independent
+are the same formulas on one example or on the rows of one device, such as
+a one-device population from ``Population.shards``; the independent
 references live in ``tests/oracles.py``.
 """
 
@@ -105,9 +107,7 @@ def point_grad(spec: LossSpec, w: np.ndarray, x: np.ndarray, y) -> np.ndarray:
 
 
 def device_loss(spec: LossSpec, w: np.ndarray, shard) -> float:
-    """Mean per-example loss over a shard."""
-    if len(shard.labels) == 0:
-        raise ValueError(f"device {shard.device_id!r} has no examples")
+    """Mean per-example loss over a device's rows (``shard.features``, ``shard.labels``)."""
     return float(batch_losses(spec, w, shard.features, shard.labels).mean())
 
 
@@ -125,9 +125,7 @@ def predict(spec: LossSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def device_error(spec: LossSpec, w: np.ndarray, shard) -> float:
-    """Fraction of shard examples the hard prediction gets wrong."""
-    if len(shard.labels) == 0:
-        raise ValueError(f"device {shard.device_id!r} has no examples")
+    """Fraction of a device's examples the hard prediction gets wrong."""
     preds = predict(spec, w, shard.features)
     return float(np.mean(preds != _labels_for(spec, shard.labels)))
 
@@ -201,78 +199,48 @@ def packed_errors(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
     return np.add.reduceat(wrong.astype(np.int64), packed.offsets) / packed.sizes
 
 
-def packed_weighted_grad(spec: LossSpec, w: np.ndarray, packed, coeff) -> np.ndarray:
-    """sum_k coeff[k] * grad F_k(w), F_k the mean loss of device k, in one pass."""
-    w = _check_params(spec, w, packed.features.shape[1])
-    return _weighted_grad(spec, w, packed, _labels_for(spec, packed.labels), coeff)
-
-
-def _weighted_grad(spec: LossSpec, w: np.ndarray, packed, y: np.ndarray, coeff, margins=None) -> np.ndarray:
-    # packed_weighted_grad on checked parameters and converted labels.
-    coeff = np.asarray(coeff, dtype=np.float64)
-    if coeff.shape != packed.sizes.shape:
-        raise ValueError(f"need one coefficient per device ({packed.sizes.size}), got shape {coeff.shape}")
-    row_coeff = np.repeat(coeff / packed.sizes, packed.sizes)
-    grad = _row_grads(spec, w, packed.features, y, row_coeff, margins)
-    return grad + float(coeff.sum()) * spec.l2_reg * w
-
-
 def _packed_point(spec: LossSpec, packed):
     """One evaluation per parameter vector of every device's mean loss F_k.
 
     Returns point(w) -> (every F_k(w) in device order, coeff -> sum_k
     coeff[k] * grad F_k(w)). The gradient reads the margins of the value
     pass instead of recomputing them, and its own copy of w; the labels are
-    converted once, here, for every point. The bytes equal packed_losses and
-    packed_weighted_grad.
+    converted once, here, for every point. The values' bytes equal
+    packed_losses, and the gradient's equal a pass that computes the margins
+    afresh.
     """
+    X, sizes = packed.features, packed.sizes
     y = _labels_for(spec, packed.labels)
 
     def point(w: np.ndarray):
-        w = _check_params(spec, w, packed.features.shape[1]).copy()
-        margins = _margins(spec, w, packed.features, y)
-        values = np.add.reduceat(_row_losses(spec, w, packed.features, y, margins), packed.offsets) / packed.sizes
-        return values, lambda coeff: _weighted_grad(spec, w, packed, y, coeff, margins)
+        w = _check_params(spec, w, X.shape[1]).copy()
+        margins = _margins(spec, w, X, y)
+        values = np.add.reduceat(_row_losses(spec, w, X, y, margins), packed.offsets) / sizes
+
+        def weighted_grad(coeff) -> np.ndarray:
+            coeff = np.asarray(coeff, dtype=np.float64)
+            if coeff.shape != sizes.shape:
+                raise ValueError(f"need one coefficient per device ({sizes.size}), got shape {coeff.shape}")
+            grad = _row_grads(spec, w, X, y, np.repeat(coeff / sizes, sizes), margins)
+            return grad + float(coeff.sum()) * spec.l2_reg * w
+
+        return values, weighted_grad
 
     return point
 
 
-def packed_local_sgd(
-    spec: LossSpec, w: np.ndarray, packed, order, counts, lr: float, batch_size: int
-) -> np.ndarray:
+def _local_sgd(spec: LossSpec, w: np.ndarray, packed, order, counts, lr: float, batch_size: int) -> np.ndarray:
     """Mini-batch SGD on every device of a population at once, all starting from w.
 
     ``order`` holds the packed rows to visit, grouped by device in device
     order, ``counts[k]`` of them device k's. Device k walks its rows in
     consecutive batches of batch_size and takes one step of size lr on each
-    batch's mean loss; a partial last batch averages over its rows, and a
-    device with no visits returns w. Devices run in lockstep: batches are
-    padded to batch_size and step counts to the longest device's, and padded
-    rows and steps are masked, so a device stops once its own rows are spent.
-    Returns the (K, d) final parameters, one row per device in device order.
+    batch's mean loss; a partial last batch averages over its rows. Devices
+    run in lockstep: batches are padded to batch_size and step counts to the
+    longest device's, and padded rows and steps are masked, so a device stops
+    once its own rows are spent. Returns one row of final parameters per
+    device with visits, in device order. The caller checks w and draws the orders.
     """
-    X = packed.features
-    w = _check_params(spec, w, X.shape[1])
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    order = np.asarray(order, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (len(packed),):
-        raise ValueError(f"need one visit count per device ({len(packed)}), got shape {counts.shape}")
-    if order.ndim != 1 or np.any(counts < 0) or counts.sum() != order.size:
-        raise ValueError(f"visit counts must be nonnegative and sum to the flat order's length ({order.size})")
-    dev = np.repeat(np.arange(counts.size), counts)
-    first = packed.offsets[dev]
-    if np.any(order < first) or np.any(order >= first + packed.sizes[dev]):
-        raise ValueError("visiting orders must index rows of their own device")
-    out = np.tile(w, (counts.size, 1))
-    out[counts > 0] = _local_sgd(spec, w, packed, order, counts, lr, batch_size)
-    return out
-
-
-def _local_sgd(spec: LossSpec, w: np.ndarray, packed, order, counts, lr: float, batch_size: int) -> np.ndarray:
-    # packed_local_sgd on arguments it has checked (or a round has drawn):
-    # the final parameters of the devices with visits only, in device order.
     active = np.flatnonzero(counts)
     steps = -(-counts[active] // batch_size)
     # Longest walks first, so the devices still walking at step s are a prefix.

@@ -334,16 +334,16 @@ def run_reference(pop, cfg, algorithm: str = "deltafl"):
         sample = sorted(set(int(k) for k in rng.integers(0, len(shards), size=cfg.devices_per_round)))
         orders = []
         if cfg.local_epoch:
-            keys = rng.random(sum(len(shards[k]) for k in sample))
+            keys = rng.random(sum(int(pop.sizes[k]) for k in sample))
             first = 0
             for slot, k in enumerate(sample):
-                n = len(shards[k])
+                n = int(pop.sizes[k])
                 orders.append(sorted(range(n), key=lambda i: slot + float(keys[first + i])))
                 first += n
             batch = cfg.batch_size
         else:
             for k in sample:
-                orders.append([int(rng.integers(len(shards[k]))) for _ in range(cfg.n_local)])
+                orders.append([int(rng.integers(int(pop.sizes[k]))) for _ in range(cfg.n_local)])
             batch = 1
         if cfg.aggregation == "masked":
             rng.integers(1 << 62)
@@ -374,7 +374,7 @@ def run_reference(pop, cfg, algorithm: str = "deltafl"):
             den += a
         w_next = num / den
 
-        ids = [shards[k].device_id for k in sample]
+        ids = [pop.device_ids[k] for k in sample]
         logs.append(
             {
                 "sampled_ids": ids,

@@ -463,6 +463,44 @@ def test_bad_values_are_config_errors_at_validate_and_run(tmp_path, capsys, wher
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("seeds", [True]),
+        ("thetas", [True]),
+        ("data.num_devices", True),
+        ("eval_every", True),
+        ("split_seed", False),
+        ("federation.local_epoch", "no"),
+        ("federation.lr_decay_every", 2.5),
+        ("federation.eta_period", 1.0),
+        ("federation.nu", "0.1"),
+        ("loss.l2_reg", "0.1"),
+        ("loss.l2_reg", True),
+        ("loss.num_classes", 2.7),
+        ("federation.num_rounds", 1.5),
+        ("federation.devices_per_round", 2.5),
+        ("federation.batch_size", True),
+        ("federation.n_local", 1.5),
+        ("federation.lr0", "0.1"),
+    ],
+    ids=lambda v: json.dumps(v),
+)
+def test_values_of_the_wrong_type_are_config_errors_at_validate_and_run(tmp_path, capsys, where, value):
+    # Each once ran with a value the config did not give (true as 1, 2.7 as
+    # 2, "no" as true), failed mid-run with exit 2, or named no field.
+    cfg = tiny_config(tmp_path / "out", split_fraction=0.5)
+    cfg["federation"]["local_epoch"] = False  # so that n_local is read
+    *section, key = where.split(".")
+    (cfg[section[0]] if section else cfg)[key] = value
+    path = write_config(tmp_path, cfg)
+    for argv in (["validate", "--config", path], ["run", "--config", path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"config.{where}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_a_zero_width_device_file(tmp_path, capsys):
     # Not a run of a model with no parameters: the load names the line and the device.
     device_file = tmp_path / "devices.jsonl"

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfed import (
-    DeviceShard,
     Population,
     WeightedValues,
     gen_gaussian_mixture,
@@ -26,52 +25,29 @@ from tailfed import (
 )
 
 
-def test_shard_validation():
-    with pytest.raises(ValueError):
-        DeviceShard("a", np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        DeviceShard("a", np.zeros((2, 2)), np.zeros(3))
-    with pytest.raises(ValueError):
-        DeviceShard("a", np.zeros((2, 2)), np.zeros(2), weight=0.0)
-
-
 def test_population_normalizes_weights():
-    shards = [
-        DeviceShard("a", np.zeros((1, 2)), np.zeros(1), weight=2.0),
-        DeviceShard("b", np.zeros((3, 2)), np.zeros(3), weight=6.0),
-    ]
-    pop = Population.from_shards(shards)
+    pop = Population(np.zeros((4, 2)), np.zeros(4), [1, 3], ("a", "b"), [2.0, 6.0])
     assert pop.weights == pytest.approx([0.25, 0.75])
     assert pop.feature_dim == 2
 
 
 def test_population_leaves_its_shards_alone():
-    shards = [DeviceShard(d, np.zeros((1, 2)), np.zeros(1), weight=1.0) for d in "ab"]
-    pop = Population.from_shards(shards)
-    Population.from_shards(shards[:1])
+    # A device's view has weight 1 of its own; building the views, or a
+    # selection, leaves the population's weights as they were.
+    pop = Population(np.zeros((2, 2)), np.zeros(2), [1, 1], ("a", "b"), [1.0, 1.0])
+    pop.select([0])
+    assert [s.weights.tolist() for s in pop.shards] == [[1.0], [1.0]]
     assert pop.weights.tolist() == [0.5, 0.5]
     WeightedValues(np.zeros(2), pop.weights)  # a profile takes the weights as they are
-    assert [s.weight for s in shards] == [1.0, 1.0]
 
 
 def test_population_shards_cannot_grow_after_construction():
-    # weights, ids and the packed view are read on construction, so a shard
-    # added later would be a device with no weight
-    shards = [DeviceShard(d, np.zeros((1, 2)), np.zeros(1)) for d in "ab"]
-    pop = Population.from_shards(shards)
+    # weights, ids and the packed arrays are read on construction, so a
+    # device added later would be a device with no weight
+    pop = Population(np.zeros((2, 2)), np.zeros(2), [1, 1], ("a", "b"), [1.0, 1.0])
     with pytest.raises(AttributeError):
-        pop.shards.append(DeviceShard("c", np.zeros((1, 2)), np.zeros(1)))
-    shards.append(DeviceShard("c", np.zeros((1, 2)), np.zeros(1)))
-    assert len(pop) == pop.weights.size == len(pop.device_ids) == 2
-
-
-def test_population_rejects_mixed_dims():
-    shards = [
-        DeviceShard("a", np.zeros((1, 2)), np.zeros(1)),
-        DeviceShard("b", np.zeros((1, 3)), np.zeros(1)),
-    ]
-    with pytest.raises(ValueError):
-        Population.from_shards(shards)
+        pop.shards.append(pop.shards[0])
+    assert len(pop) == pop.weights.size == len(pop.device_ids) == len(pop.shards) == 2
 
 
 def test_population_holds_its_rows_once():
@@ -81,8 +57,28 @@ def test_population_holds_its_rows_once():
         assert np.shares_memory(shard.features, pop.features)
         assert np.shares_memory(shard.labels, pop.labels)
         assert np.array_equal(shard.features, pop.features[a:b])
-        assert shard.device_id == pop.device_ids[k] and shard.weight == pop.weights[k]
+        assert np.array_equal(shard.labels, pop.labels[a:b])
     assert pop.shards is pop.shards  # built once
+
+
+@pytest.mark.parametrize("real_labels", [False, True])
+def test_shards_are_one_device_populations_of_views(real_labels):
+    pop = gen_hetero_logistic(6, (1, 5), 3, 3, 0.8, seed=21)
+    if real_labels:
+        pop = Population(pop.features, pop.labels + 0.5, pop.sizes, pop.device_ids, pop.weights)
+    assert len(pop.shards) == len(pop)
+    for k, shard in enumerate(pop.shards):
+        assert type(shard) is Population and len(shard) == 1
+        assert shard.device_ids == (pop.device_ids[k],)
+        assert shard.weights.tolist() == [1.0]
+        assert shard.sizes.tolist() == [pop.sizes[k]] and shard.offsets.tolist() == [0]
+        assert shard.sizes.dtype == np.int64 and shard.feature_dim == pop.feature_dim
+        for name in ("features", "labels"):
+            view, whole = getattr(shard, name), getattr(pop, name)
+            assert np.shares_memory(view, whole) and view.dtype == whole.dtype
+            assert view.tobytes() == whole[pop.offsets[k] : pop.offsets[k] + pop.sizes[k]].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
 
 
 def test_population_arrays_and_shard_views_are_read_only():
@@ -137,10 +133,10 @@ def test_weights_by_count(tmp_path):
 
 
 def packed_reference(ids, rows):
-    """Population.from_shards of per-device (X, y) arrays, weighted by the devices' shares of the rows."""
+    """The population of per-device (X, y) arrays, weighted by the devices' shares of the rows."""
     sizes = np.array([len(y) for _, y in rows])
-    weights = (sizes / sizes.sum()).tolist()
-    return Population.from_shards([DeviceShard(d, X, y, w) for d, (X, y), w in zip(ids, rows, weights)])
+    features, labels = np.concatenate([X for X, _ in rows]), np.concatenate([y for _, y in rows])
+    return Population(features, labels, sizes, ids, sizes / sizes.sum())
 
 
 def last_device(pop):
@@ -195,17 +191,15 @@ def test_parsed_populations_equal_a_packing_of_their_devices(devices):
 
 
 def test_generators_parser_and_writer_build_no_shards_and_one_population(tmp_path, monkeypatch):
+    # A device's view is a population too, so one construction per call
+    # also means that no view was built.
     built = []
     init = Population.__post_init__
-
-    def no_shard(self):
-        raise AssertionError(f"built a DeviceShard for {self.device_id!r}")
 
     def counted(self):
         built.append(self)
         init(self)
 
-    monkeypatch.setattr(DeviceShard, "__post_init__", no_shard)
     monkeypatch.setattr(Population, "__post_init__", counted)
     pops = [gen_hetero_logistic(6, (2, 5), 3, 3, 1.0, seed=2), gen_gaussian_mixture(np.eye(3), 4, seed=1)]
     assert built == pops
@@ -265,7 +259,7 @@ def test_hetero_logistic_shapes_and_ranges():
     )
     assert len(pop) == 12
     assert pop.feature_dim == 4
-    sizes = [len(s) for s in pop.shards]
+    sizes = [int(s.sizes[0]) for s in pop.shards]
     assert all(5 <= n <= 20 for n in sizes)
     assert pop.weights == pytest.approx(np.array(sizes) / sum(sizes))
     for s in pop.shards:
@@ -403,9 +397,9 @@ def test_jsonl_round_trip_exact(tmp_path):
 
 
 def test_jsonl_real_valued_targets_survive(tmp_path):
-    shards = [DeviceShard("r", np.array([[1.0], [2.0]]), np.array([0.25, -1.5]))]
+    pop = Population(np.array([[1.0], [2.0]]), np.array([0.25, -1.5]), [2], ("r",), [1.0])
     path = tmp_path / "reg.jsonl"
-    save_devices_jsonl(Population.from_shards(shards), path)
+    save_devices_jsonl(pop, path)
     back = load_devices_jsonl(path)
     assert back.shards[0].labels.dtype == np.float64
     assert np.array_equal(back.shards[0].labels, np.array([0.25, -1.5]))

@@ -5,7 +5,6 @@ import pytest
 
 from tailfed import (
     CertifiedGradientDescent,
-    DeviceShard,
     FederationConfig,
     LossSpec,
     Population,
@@ -123,7 +122,7 @@ def test_deltafl_filter_respects_threshold():
     cfg = base_config(theta=0.4)
     w = np.zeros(3)
     _, log = deltafl_round(pop, w, cfg, t=0)
-    losses = {s.device_id: models.device_loss(cfg.loss, w, s) for s in pop.shards}
+    losses = {d: models.device_loss(cfg.loss, w, s) for d, s in zip(pop.device_ids, pop.shards)}
     assert log.eta is not None
     for dev in log.filtered_ids:
         assert losses[dev] >= log.eta - 1e-12
@@ -138,7 +137,7 @@ def test_deltafl_empty_filter_falls_back_to_worst_device():
     w = np.zeros(3)
     _, log = deltafl_round(pop, w, cfg, t=0, eta_override=1e9)
     assert len(log.filtered_ids) == 1
-    losses = {s.device_id: models.device_loss(cfg.loss, w, s) for s in pop.shards}
+    losses = {d: models.device_loss(cfg.loss, w, s) for d, s in zip(pop.device_ids, pop.shards)}
     worst = max(log.sampled_ids, key=lambda d: losses[d])
     assert log.filtered_ids == [worst]
 
@@ -175,9 +174,9 @@ def test_round_log_objectives_are_sample_superquantiles():
     cfg = base_config(theta=0.5)
     w = np.zeros(3)
     w_next, log = deltafl_round(pop, w, cfg, t=3)
-    by_id = {s.device_id: s for s in pop.shards}
-    sampled = [by_id[d] for d in log.sampled_ids]
-    wts = np.array([s.weight for s in sampled])
+    by_id = {d: k for k, d in enumerate(pop.device_ids)}
+    sampled = [pop.shards[by_id[d]] for d in log.sampled_ids]
+    wts = np.array([pop.weights[by_id[d]] for d in log.sampled_ids])
     wts = wts / wts.sum()
     pre = superquantile(
         WeightedValues(np.array([models.device_loss(cfg.loss, w, s) for s in sampled]), wts),
@@ -366,9 +365,10 @@ def test_certified_gd_reports_stall():
 def test_quadratic_objectives_evaluate():
     objs = quadratic_objectives([[0.0, 0.0], [2.0, 0.0]], offsets=[1.0, 3.0])
     w = np.array([1.0, 1.0])
-    assert np.allclose(objs.values(w), [3.0, 5.0])
-    assert np.allclose(objs.weighted_grad(w, np.array([0.0, 1.0])), [-2.0, 2.0])
-    assert np.allclose(objs.weighted_grad(w, np.array([1.0, 0.0])), [2.0, 2.0])
+    values, weighted_grad = objs.point(w)
+    assert np.allclose(values, [3.0, 5.0])
+    assert np.allclose(weighted_grad(np.array([0.0, 1.0])), [-2.0, 2.0])
+    assert np.allclose(weighted_grad(np.array([1.0, 0.0])), [2.0, 2.0])
     assert objs.weights.sum() == pytest.approx(1.0)
 
 
@@ -477,7 +477,7 @@ def test_am_meta_evaluates_each_parameter_vector_once(spec):
     # gradients separately and afresh at every use.
     want = am_two_pass(
         lambda w: models.packed_losses(spec, w, pop),
-        lambda w, coeff: models.packed_weighted_grad(spec, w, pop, coeff),
+        lambda w, coeff: objs.point(w)[1](coeff),
         pop.weights, **settings,
     )
     got = [
@@ -492,12 +492,12 @@ def test_am_population_objectives_agree_with_device_loss():
     spec = LossSpec("binary_logistic", l2_reg=0.01)
     objs = population_objectives(pop, spec)
     w = np.array([0.2, -0.1, 0.4])
-    values = objs.values(w)
+    values, weighted_grad = objs.point(w)
     for k, shard in enumerate(pop.shards):
         assert values[k] == pytest.approx(models.device_loss(spec, w, shard), rel=1e-12)
         e_k = np.eye(len(pop))[k]
         want = batch_grad_reference(spec, w, shard.features, shard.labels)
-        assert np.allclose(objs.weighted_grad(w, e_k), want, rtol=1e-12, atol=0)
+        assert np.allclose(weighted_grad(e_k), want, rtol=1e-12, atol=0)
     assert np.array_equal(objs.weights, pop.weights)
 
 

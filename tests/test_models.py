@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from tailfed import (
-    DeviceShard,
+    FederationConfig,
     LossSpec,
     device_error,
     device_loss,
     init_params,
     point_grad,
     point_loss,
+    population_objectives,
 )
 from tailfed.data import Population
-from tailfed.models import packed_errors, packed_local_sgd, packed_losses, packed_weighted_grad, predict
+from tailfed.federation import local_update
+from tailfed.models import packed_errors, packed_losses, predict
 
 from oracles import device_error_naive, device_loss_naive, fd_gradient, point_loss_naive
 
@@ -40,6 +42,11 @@ def random_spec(rng, kind):
     return LossSpec(kind, l2_reg=l2)
 
 
+def one_device(X, y, device_id="a"):
+    """A one-device population of the given rows."""
+    return Population(X, y, [len(y)], (device_id,), [1.0])
+
+
 def make_shard(rng, spec, p, n, device_id="d0"):
     X = rng.normal(size=(n, p))
     if spec.kind == "squared_distance":
@@ -48,7 +55,7 @@ def make_shard(rng, spec, p, n, device_id="d0"):
         y = rng.choice([-1, 1], size=n)
     else:
         y = rng.integers(0, spec.num_classes, size=n)
-    return DeviceShard(device_id, X, y)
+    return one_device(X, y, device_id)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +165,7 @@ def test_device_grad_matches_fd():
         p = 3
         shard = make_shard(rng, spec, p, 7)
         w = rng.normal(size=init_params(spec, p).shape)
-        g = packed_weighted_grad(spec, w, Population.from_shards([shard]), [1.0])
+        g = population_objectives(shard, spec).point(w)[1]([1.0])
         fd = fd_gradient(lambda v: device_loss(spec, v, shard), w)
         assert float(np.linalg.norm(g - fd)) <= 1e-5 * max(1.0, float(np.linalg.norm(fd)))
 
@@ -179,7 +186,7 @@ def test_convexity_midpoint_in_params():
 
 
 # ---------------------------------------------------------------------------
-# shard-level evaluation
+# device-level evaluation
 
 
 def test_device_loss_single_and_duplicated_example():
@@ -187,8 +194,8 @@ def test_device_loss_single_and_duplicated_example():
     spec = LossSpec("binary_logistic")
     x = rng.normal(size=4)
     w = rng.normal(size=4)
-    one = DeviceShard("a", x[None, :], np.array([1]))
-    two = DeviceShard("a", np.vstack([x, x]), np.array([1, 1]))
+    one = one_device(x[None, :], np.array([1]))
+    two = one_device(np.vstack([x, x]), np.array([1, 1]))
     assert device_loss(spec, w, one) == pytest.approx(point_loss(spec, w, x, 1), abs=1e-15)
     assert device_loss(spec, w, two) == pytest.approx(device_loss(spec, w, one), abs=1e-15)
 
@@ -208,13 +215,14 @@ def test_device_loss_matches_naive_loop():
 
 
 def test_empty_shard_rejected():
-    with pytest.raises(ValueError):
-        DeviceShard("empty", np.zeros((0, 3)), np.zeros(0))
+    # So device_loss and device_error never see a device without examples.
+    with pytest.raises(ValueError, match="integers of at least 1"):
+        one_device(np.zeros((0, 3)), np.zeros(0), "empty")
 
 
 def test_device_loss_dimension_mismatch():
     spec = LossSpec("binary_logistic")
-    shard = DeviceShard("a", np.zeros((2, 3)), np.array([1, -1]))
+    shard = one_device(np.zeros((2, 3)), np.array([1, -1]))
     with pytest.raises(ValueError):
         device_loss(spec, np.zeros(4), shard)
 
@@ -237,17 +245,16 @@ def test_point_grad_rejects_the_labels_point_loss_rejects():
 def test_fractional_class_labels_are_rejected_not_truncated():
     spec = LossSpec("multinomial_logistic", num_classes=3)
     w, x = np.zeros(6), np.array([1.0, 2.0])
-    shard = DeviceShard("a", np.ones((2, 2)), np.array([0.5, 1.7]))
-    packed = Population.from_shards([shard])
+    shard = one_device(np.ones((2, 2)), np.array([0.5, 1.7]))
     calls = [
         lambda: point_loss(spec, w, x, 1.5),
         lambda: point_grad(spec, w, x, 1.5),
         lambda: device_loss(spec, w, shard),
         lambda: device_error(spec, w, shard),
-        lambda: packed_losses(spec, w, packed),
-        lambda: packed_errors(spec, w, packed),
-        lambda: packed_weighted_grad(spec, w, packed, [1.0]),
-        lambda: packed_local_sgd(spec, w, packed, np.arange(2), [2], 0.1, 1),
+        lambda: packed_losses(spec, w, shard),
+        lambda: packed_errors(spec, w, shard),
+        lambda: population_objectives(shard, spec).point(w),
+        lambda: local_update(shard, w, 0.1, FederationConfig(loss=spec), np.random.default_rng(0)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="class labels must be integers"):
@@ -255,8 +262,8 @@ def test_fractional_class_labels_are_rejected_not_truncated():
     # Whole-valued floats still name their classes.
     rng = np.random.default_rng(38)
     X, v = rng.normal(size=(4, 2)), rng.normal(size=6)
-    ints = DeviceShard("a", X, np.array([0, 2, 1, 2]))
-    floats = DeviceShard("a", X, np.array([0.0, 2.0, 1.0, 2.0]))
+    ints = one_device(X, np.array([0, 2, 1, 2]))
+    floats = one_device(X, np.array([0.0, 2.0, 1.0, 2.0]))
     assert device_loss(spec, v, floats) == device_loss(spec, v, ints)
     assert device_error(spec, v, floats) == device_error(spec, v, ints)
 
@@ -269,7 +276,7 @@ def test_error_perfect_separation():
     spec = LossSpec("binary_logistic")
     X = np.array([[1.0], [-1.0]])
     y = np.array([1, -1])
-    assert device_error(spec, np.array([2.0]), DeviceShard("a", X, y)) == 0.0
+    assert device_error(spec, np.array([2.0]), one_device(X, y)) == 0.0
 
 
 def test_error_zero_params_multinomial():
@@ -277,7 +284,7 @@ def test_error_zero_params_multinomial():
     rng = np.random.default_rng(36)
     X = rng.normal(size=(9, 2))
     y = np.array([0, 1, 2, 0, 1, 2, 0, 0, 2])
-    got = device_error(spec, np.zeros(6), DeviceShard("a", X, y))
+    got = device_error(spec, np.zeros(6), one_device(X, y))
     assert got == pytest.approx(np.mean(y != 0), abs=1e-15)
 
 
@@ -295,7 +302,7 @@ def test_error_matches_naive_loop():
 
 def test_error_requires_classifier():
     spec = LossSpec("squared_distance")
-    shard = DeviceShard("a", np.zeros((1, 2)), np.array([0.0]))
+    shard = one_device(np.zeros((1, 2)), np.array([0.0]))
     with pytest.raises(ValueError):
         device_error(spec, np.zeros(2), shard)
 

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailfed import DeviceShard, FederationConfig, LossSpec, Population, run_federated
+from tailfed import FederationConfig, LossSpec, Population, run_federated
 
 from oracles import run_reference
 
@@ -19,23 +19,24 @@ KINDS = ("squared_distance", "binary_logistic", "multinomial_logistic")
 
 @st.composite
 def runs(draw):
-    """A population of ragged shards with random weights, a config and an algorithm."""
+    """A population of ragged devices with random weights, a config and an algorithm."""
     kind = draw(st.sampled_from(KINDS))
     num_classes = draw(st.integers(2, 3)) if kind == "multinomial_logistic" else 2
     spec = LossSpec(kind, l2_reg=draw(st.sampled_from([0.0, 1e-2])), num_classes=num_classes)
     p = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shards = []
-    for k, n in enumerate(sizes):
-        X = rng.normal(size=(n, p))
+    Xs, ys, weights = [], [], []
+    for n in sizes:
+        Xs.append(rng.normal(size=(n, p)))
         if kind == "binary_logistic":
-            y = rng.choice([-1, 1], size=n)
+            ys.append(rng.choice([-1, 1], size=n))
         elif kind == "multinomial_logistic":
-            y = rng.integers(0, num_classes, size=n)
+            ys.append(rng.integers(0, num_classes, size=n))
         else:
-            y = np.zeros(n)
-        shards.append(DeviceShard(f"d{k}", X, y, float(rng.uniform(0.5, 2.0))))
+            ys.append(np.zeros(n))
+        weights.append(float(rng.uniform(0.5, 2.0)))
+    pop = Population(np.concatenate(Xs), np.concatenate(ys), sizes, [f"d{k}" for k in range(len(sizes))], weights)
     theta = draw(st.sampled_from([1.0, 0.5, None]))
     cfg = FederationConfig(
         theta=draw(st.floats(0.05, 1.0)) if theta is None else theta,
@@ -53,7 +54,7 @@ def runs(draw):
         loss=spec,
         aggregation=draw(st.sampled_from(["plain", "masked"])),
     )
-    return Population.from_shards(shards), cfg, draw(st.sampled_from(["deltafl", "fedavg"]))
+    return pop, cfg, draw(st.sampled_from(["deltafl", "fedavg"]))
 
 
 def assert_close(got, want, rel):

@@ -19,12 +19,12 @@ solver settings. It prints:
   evaluations per recorded iterate, over one untimed pass
 
 File writing and final metrics are left out, so this is the solver path
-alone. ``--two-pass`` runs on an objective whose value and gradient at a
-point are two separate passes, ``models.packed_losses`` and
-``models.packed_weighted_grad``, instead of one pass whose gradient reads
-the margins of its values: the difference to a plain run is the fused
-pass's share. It needs a tree whose ``PopulationObjective`` takes a point
-evaluation.
+alone. ``--two-pass`` runs on an objective that takes each gradient from a
+second ``point(w)`` evaluation of its own, instead of the one whose values
+it was asked at: every gradient then recomputes the margins (and the
+values) instead of reading those of the value pass, and the difference to
+a plain run bounds the fused pass's share. It needs a tree whose
+``PopulationObjective`` takes a point evaluation.
 
 The script uses whichever ``tailfed`` is first on the import path, so
 running it with two source trees compares them on the same inputs, the way
@@ -54,10 +54,12 @@ SAMPLES = 7
 
 
 def two_pass(pop, spec):
-    """The population's objective with its value and gradient as separate passes."""
+    """The population's objective with each gradient taken from a second point evaluation."""
+    fused = tailfed.population_objectives(pop, spec).point
 
     def point(w):
-        return models.packed_losses(spec, w, pop), lambda coeff: models.packed_weighted_grad(spec, w, pop, coeff)
+        w = w.copy()
+        return fused(w)[0], lambda coeff: fused(w)[1](coeff)
 
     return tailfed.PopulationObjective(point=point, weights=pop.weights)
 
