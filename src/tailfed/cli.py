@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,45 +62,80 @@ class AMSettings:
     num_iters: int = 80
 
 
-@dataclass
+# Fields in the order of the config file and of validate's echo.
+@dataclass(kw_only=True)
 class ExperimentConfig:
+    schema_version: int = SCHEMA_VERSION
     algorithm: str
     output_dir: str
     thetas: list[float]
     seeds: list[int]
-    data: dict
-    loss: LossSpec
-    federation: dict = field(default_factory=dict)
     eval_every: int = 0
     split_fraction: float | None = None
     split_seed: int = 0
+    data: dict
+    loss: LossSpec
+    federation: dict = field(default_factory=dict)
     am: AMSettings = field(default_factory=AMSettings)
-    schema_version: int = SCHEMA_VERSION
 
     def normalized(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "algorithm": self.algorithm,
-            "output_dir": self.output_dir,
-            "thetas": self.thetas,
-            "seeds": self.seeds,
-            "eval_every": self.eval_every,
-            "split_fraction": self.split_fraction,
-            "split_seed": self.split_seed,
-            "data": self.data,
-            "loss": asdict(self.loss),
-            "federation": self.federation,
-            "am": asdict(self.am),
-        }
+        return asdict(self)
 
 
-def _need(raw: dict, key: str, types, where: str):
-    if key not in raw:
-        raise ConfigError(f"{where}.{key} is required")
-    val = raw[key]
-    if not isinstance(val, types):
-        raise ConfigError(f"{where}.{key} has the wrong type: expected {types}, got {type(val).__name__}")
-    return val
+# Config sections as (field -> JSON type, required fields). The root, loss, federation and
+# am take theirs from the dataclass they fill (a field without a default is required).
+def _section(cls, *drop: str) -> tuple[dict, tuple]:
+    fs = [f for f in fields(cls) if f.name not in drop]
+    return {f.name: f.type for f in fs}, tuple(f.name for f in fs if f.default is f.default_factory is MISSING)
+
+
+_ROOT, _LOSS, _AM = _section(ExperimentConfig), _section(LossSpec), _section(AMSettings)
+# A FederationConfig's theta, seed and loss come from the cell and config.loss.
+_FEDERATION = _section(FederationConfig, "theta", "seed", "loss")
+# The three forms of config.data, with their required fields. A generator's
+# fields, seed aside, are its arguments.
+_DATA_FORMS = {
+    "device_file": ({"device_file": "str"}, ("device_file",)),
+    "hetero_logistic": (
+        {"generator": "str", "num_devices": "int", "n_range": "list[int]", "feature_dim": "int", "num_classes": "int"}
+        | {"heterogeneity": "float", "seed": "int"},
+        ("num_devices", "n_range", "feature_dim", "num_classes"),
+    ),
+    "gaussian_mixture": (
+        {"generator": "str", "means": "list", "n_per_device": "int", "seed": "int"},
+        ("means", "n_per_device"),
+    ),
+}
+# What each annotation admits: (the types of the parsed JSON value, those of a
+# list's entries). A float takes an int; no number takes a bool (compared with
+# type(), since True is an int). A section annotated with its dataclass is an object.
+_NUMBER = (int, float)
+_JSON_TYPES = {
+    "int": ((int,), None),
+    "float": (_NUMBER, None),
+    "float | None": ((*_NUMBER, type(None)), None),
+    "bool": ((bool,), None),
+    "str": ((str,), None),
+    "list": ((list,), None),
+    "list[int]": ((list,), (int,)),
+    "list[float]": ((list,), _NUMBER),
+} | dict.fromkeys(("dict", "LossSpec", "AMSettings"), ((dict,), None))
+
+
+def _checked(raw: dict, section: tuple[dict, tuple], where: str) -> dict:
+    # raw, once it has every required field, no unknown one, and each value of its field's JSON type.
+    types, required = section
+    unknown = raw.keys() - types.keys()
+    if unknown:
+        raise ConfigError(f"{where} has unknown fields: {sorted(unknown)}")
+    for name in required:
+        if name not in raw:
+            raise ConfigError(f"{where}.{name} is required")
+    for name, value in raw.items():
+        allowed, entries = _JSON_TYPES[types[name]]
+        if type(value) not in allowed or entries and not all(type(v) in entries for v in value):
+            raise ConfigError(f"{where}.{name} must be of type {types[name]}, got {json.dumps(value)}")
+    return raw
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
@@ -111,106 +146,62 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"config.schema_version {version!r} is not supported; this build reads version {SCHEMA_VERSION}"
         )
-    algorithm = _need(raw, "algorithm", str, "config")
+    _checked(raw, _ROOT, "config")
+    algorithm = raw["algorithm"]
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"config.algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    output_dir = _need(raw, "output_dir", str, "config")
-    thetas = _need(raw, "thetas", list, "config")
-    if not thetas:
-        raise ConfigError("config.thetas must be non-empty")
-    for theta in thetas:
-        if type(theta) not in (int, float) or not (0.0 < float(theta) <= 1.0):
-            raise ConfigError(f"config.thetas entries must be numbers in (0, 1], got {theta!r}")
-    thetas = _distinct([float(t) for t in thetas], "config.thetas")
+    if not raw["thetas"] or not all(0.0 < theta <= 1.0 for theta in raw["thetas"]):
+        raise ConfigError(f"config.thetas must be a non-empty list of numbers in (0, 1], got {raw['thetas']!r}")
+    thetas = _distinct([float(t) for t in raw["thetas"]], "config.thetas")
     # Every fedavg cell runs at theta 1, so another theta would train the same cell again.
     if algorithm == "fedavg" and thetas != [1.0]:
         raise ConfigError(f"config.thetas must be [1.0] for fedavg, got {thetas!r}")
-    seeds = _need(raw, "seeds", list, "config")
-    if not seeds or not all(type(s) is int for s in seeds):
+    if not raw["seeds"]:
         raise ConfigError("config.seeds must be a non-empty list of integers")
-    seeds = _distinct([int(s) for s in seeds], "config.seeds")
+    seeds = _distinct(list(raw["seeds"]), "config.seeds")
 
-    data = _need(raw, "data", dict, "config")
-    if "device_file" in data:
-        if not isinstance(data["device_file"], str):
-            raise ConfigError("config.data.device_file must be a path string")
-    elif "generator" in data:
-        gen = data["generator"]
-        if gen == "hetero_logistic":
-            for key, least in (("num_devices", 1), ("feature_dim", 1), ("num_classes", 2)):
-                if type(data.get(key)) is not int or data[key] < least:
-                    raise ConfigError(f"config.data.{key} must be an integer >= {least}")
-            nr = data.get("n_range")
-            if (
-                not isinstance(nr, list)
-                or len(nr) != 2
-                or not all(type(v) is int for v in nr)
-                or not (1 <= nr[0] <= nr[1])
-            ):
-                raise ConfigError("config.data.n_range must be [lo, hi] with 1 <= lo <= hi")
-            het = data.get("heterogeneity", 1.0)
-            if type(het) not in (int, float) or not (0 <= het < np.inf):
-                raise ConfigError("config.data.heterogeneity must be a finite nonnegative number")
-        elif gen == "gaussian_mixture":
-            if _finite_numbers(data.get("means")).ndim != 2:
-                raise ConfigError("config.data.means must be a non-empty list of equal-length finite number vectors")
-            if type(data.get("n_per_device")) is not int or data["n_per_device"] < 1:
-                raise ConfigError("config.data.n_per_device must be a positive integer")
-        else:
-            raise ConfigError(f"config.data.generator must be hetero_logistic or gaussian_mixture, got {gen!r}")
-    else:
-        raise ConfigError("config.data needs either a generator or a device_file")
+    data = raw["data"]
+    form = "device_file" if "device_file" in data else data.get("generator")
+    if type(form) is not str or form not in _DATA_FORMS:
+        raise ConfigError(f"config.data.generator must be hetero_logistic or gaussian_mixture, got {form!r}")
+    _checked(data, _DATA_FORMS[form], "config.data")
+    for key, least in (("num_devices", 1), ("feature_dim", 1), ("num_classes", 2), ("n_per_device", 1)):
+        if data.get(key, least) < least:
+            raise ConfigError(f"config.data.{key} must be an integer >= {least}")
+    if form == "hetero_logistic":
+        nr = data["n_range"]
+        if len(nr) != 2 or not (1 <= nr[0] <= nr[1]):
+            raise ConfigError("config.data.n_range must be [lo, hi] with 1 <= lo <= hi")
+        if not (0 <= data.get("heterogeneity", 1.0) < np.inf):
+            raise ConfigError("config.data.heterogeneity must be a finite nonnegative number")
+    if form == "gaussian_mixture" and _finite_numbers(data["means"]).ndim != 2:
+        raise ConfigError("config.data.means must be a non-empty list of equal-length finite number vectors")
 
-    loss_raw = _need(raw, "loss", dict, "config")
-    kind = _need(loss_raw, "kind", str, "config.loss")
-    _check_types(loss_raw, LossSpec, "config.loss")
+    loss_raw = _checked(raw["loss"], _LOSS, "config.loss")
     try:
-        loss = LossSpec(
-            kind=kind,
-            l2_reg=float(loss_raw.get("l2_reg", 0.0)),
-            num_classes=loss_raw.get("num_classes", 2),
-        )
-    except (TypeError, ValueError) as exc:
+        loss = LossSpec(**{**loss_raw, "l2_reg": float(loss_raw.get("l2_reg", 0.0))})
+    except ValueError as exc:
         raise ConfigError(f"config.loss: {exc}") from exc
-
-    gen = data.get("generator")
-    if gen is not None:
+    if form != "device_file":
         # hetero_logistic writes -1/+1 for 2 classes and 0..C-1 for more,
         # gaussian_mixture writes 0. Device files are checked when a run loads them.
-        classes = data["num_classes"] if gen == "hetero_logistic" else 1
-        _check_labels(loss, np.array([-1, 1] if classes == 2 else range(classes)), [0], lambda k: f"{gen} data")
+        classes = data["num_classes"] if form == "hetero_logistic" else 1
+        _check_labels(loss, np.array([-1, 1] if classes == 2 else range(classes)), [0], lambda k: f"{form} data")
 
-    federation = raw.get("federation", {})
-    if not isinstance(federation, dict):
-        raise ConfigError("config.federation must be an object")
-    # theta, seed and loss come from the cell and config.loss, not from here.
-    allowed = {f.name for f in fields(FederationConfig)} - {"theta", "seed", "loss"}
-    unknown = set(federation) - allowed
-    if unknown:
-        raise ConfigError(f"config.federation has unknown fields: {sorted(unknown)}")
-    _check_types(federation, FederationConfig, "config.federation")
-
-    eval_every = raw.get("eval_every", 0)
-    if type(eval_every) is not int or eval_every < 0:
+    federation = _checked(raw.get("federation", {}), _FEDERATION, "config.federation")
+    if raw.get("eval_every", 0) < 0:
         raise ConfigError("config.eval_every must be a nonnegative integer")
-
+    # No integer lies strictly between 0 and 1, so a split_fraction that passes is a float.
     split_fraction = raw.get("split_fraction")
-    if split_fraction is not None and (
-        type(split_fraction) not in (int, float) or not (0.0 < split_fraction < 1.0)
-    ):
+    if split_fraction is not None and not (0.0 < split_fraction < 1.0):
         raise ConfigError("config.split_fraction must lie strictly between 0 and 1")
-    split_seed = raw.get("split_seed", 0)
-    if type(split_seed) is not int:
-        raise ConfigError("config.split_seed must be an integer")
+    if split_fraction is not None and form != "device_file":
+        # split_devices reads only the device count: splitting as many one-row devices fails as the run would.
+        n = data["num_devices"] if form == "hetero_logistic" else len(data["means"])
+        rows = Population(np.zeros((n, 1)), np.zeros(n), np.ones(n, np.int64), ("",) * n, np.ones(n))
+        _split(rows, split_fraction, raw.get("split_seed", 0))
 
-    am_raw = raw.get("am", {})
-    if not isinstance(am_raw, dict):
-        raise ConfigError("config.am must be an object")
-    try:
-        am = AMSettings(**am_raw)
-    except TypeError as exc:
-        raise ConfigError(f"config.am: {exc}") from exc
-    _check_types(am_raw, AMSettings, "config.am")
+    am = AMSettings(**_checked(raw.get("am", {}), _AM, "config.am"))
     if am.num_iters < 0:
         raise ConfigError(f"config.am.num_iters must be an integer >= 0, got {am.num_iters!r}")
     # The solver and the schedule check their own values.
@@ -219,36 +210,17 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"config.am.{exc}") from exc
 
-    cfg = ExperimentConfig(
-        algorithm=algorithm,
-        output_dir=output_dir,
-        thetas=thetas,
-        seeds=seeds,
-        data=data,
-        loss=loss,
-        federation=dict(federation),
-        eval_every=eval_every,
-        split_fraction=None if split_fraction is None else float(split_fraction),
-        split_seed=split_seed,
-        am=am,
-    )
+    # Every root field is known and typed now; the parsed values replace the raw ones.
+    cfg = ExperimentConfig(**raw | dict(thetas=thetas, seeds=seeds, loss=loss, federation=dict(federation), am=am))
     # Surface federation field errors now rather than at run time.
     try:
         fed = _federation_config(cfg, theta=cfg.thetas[0], seed=cfg.seeds[0])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config.federation: {exc}") from exc
     # A run logs and tabulates its last round, so it needs at least one.
     if fed.num_rounds < 1:
         raise ConfigError(f"config.federation.num_rounds must be >= 1, got {fed.num_rounds!r}")
     return cfg
-
-
-def _check_types(raw: dict, cls, where: str) -> None:
-    # A given field must have the Python type it is annotated with; a float takes an int, no number a bool.
-    types = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-    for f in fields(cls):
-        if f.name in raw and f.type in types and type(raw[f.name]) not in types[f.type]:
-            raise ConfigError(f"{where}.{f.name} must be of type {f.type}, got {json.dumps(raw[f.name])}")
 
 
 def _distinct(values: list, where: str) -> list:
@@ -286,25 +258,29 @@ def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> Federa
     return FederationConfig(theta=theta, seed=seed, loss=cfg.loss, **cfg.federation)
 
 
-def _build_population(cfg: ExperimentConfig, seed: int) -> Population:
+def _build_population(cfg: ExperimentConfig, data_seed: int | None) -> tuple[Population, Population | None]:
+    """A cell's train and test populations (test None without a split); a device file ignores data_seed."""
     data = cfg.data
     if "device_file" in data:
         pop = load_devices_jsonl(data["device_file"])
         source = data["device_file"]
         _check_labels(cfg.loss, pop.labels, pop.offsets, lambda k: f"device {pop.device_ids[k]!r} of {source}")
-        return pop
-    data_seed = data.get("seed")
-    root = int(data_seed) if data_seed is not None else seed
-    if data["generator"] == "hetero_logistic":
-        return gen_hetero_logistic(
-            num_devices=data["num_devices"],
-            n_range=(data["n_range"][0], data["n_range"][1]),
-            feature_dim=data["feature_dim"],
-            num_classes=data["num_classes"],
-            heterogeneity=float(data.get("heterogeneity", 1.0)),
-            seed=root,
-        )
-    return gen_gaussian_mixture(data["means"], data["n_per_device"], seed=root)
+    else:
+        args = {k: v for k, v in data.items() if k not in ("generator", "seed")}
+        if data["generator"] == "hetero_logistic":
+            pop = gen_hetero_logistic(**{"heterogeneity": 1.0, **args}, seed=data_seed)
+        else:
+            pop = gen_gaussian_mixture(**args, seed=data_seed)
+    if cfg.split_fraction is None:
+        return pop, None
+    return _split(pop, cfg.split_fraction, cfg.split_seed)
+
+
+def _split(pop: Population, fraction: float, seed: int) -> tuple[Population, Population]:
+    try:
+        return split_devices(pop, fraction, seed)
+    except ValueError as exc:  # a side left empty
+        raise ConfigError(f"config.split_fraction: {exc}") from exc
 
 
 def _final_metrics(
@@ -321,12 +297,9 @@ def _final_metrics(
     return out
 
 
-def _run_cell(cfg: ExperimentConfig, theta: float, seed: int, cell_dir: Path) -> dict[str, float]:
-    pop = _build_population(cfg, seed)
-    if cfg.split_fraction is not None:
-        train, test = split_devices(pop, cfg.split_fraction, cfg.split_seed)
-    else:
-        train, test = pop, None
+def _run_cell(
+    cfg: ExperimentConfig, theta: float, seed: int, train: Population, test: Population | None, cell_dir: Path
+) -> dict[str, float]:
     cell_dir.mkdir(parents=True, exist_ok=True)
     fed = _federation_config(cfg, theta=theta, seed=seed)
 
@@ -391,11 +364,15 @@ def _label(cfg: ExperimentConfig, theta: float) -> str:
 def cmd_run(cfg: ExperimentConfig) -> int:
     out_root = Path(cfg.output_dir)
     summary: dict = {"algorithm": cfg.algorithm, "seeds": cfg.seeds, "runs": {}}
+    # Keyed by the data seed, the generator's or the cell's (a device file is one
+    # population); holding only the last cell's, memory does not grow with the seeds.
+    populations = functools.lru_cache(maxsize=1)(functools.partial(_build_population, cfg))
     for theta in cfg.thetas:
         per_seed: list[dict[str, float]] = []
         for seed in cfg.seeds:
+            train, test = populations(None if "device_file" in cfg.data else cfg.data.get("seed", seed))
             cell_dir = out_root / "runs" / str(theta) / str(seed)
-            per_seed.append(_run_cell(cfg, theta, seed, cell_dir))
+            per_seed.append(_run_cell(cfg, theta, seed, train, test, cell_dir))
         keys = list(per_seed[0].keys())
         aggregated = {}
         for key in keys:

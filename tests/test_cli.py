@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailfed import CertifiedGradientDescent, Population, gen_hetero_logistic, save_devices_jsonl
+from tailfed import CertifiedGradientDescent, Population, cli, gen_hetero_logistic, save_devices_jsonl
 from tailfed.cli import (
     ConfigError,
     cmd_gaussian_demo,
@@ -499,6 +499,89 @@ def test_values_of_the_wrong_type_are_config_errors_at_validate_and_run(tmp_path
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"config.{where}" in err
     assert not (tmp_path / "out").exists()
+
+
+def _set(cfg, where, value):
+    *section, key = where.split(".")
+    (cfg[section[0]] if section else cfg)[key] = value
+
+
+@pytest.mark.parametrize(
+    "where, value, needles",
+    [
+        ("loss.l2reg", 0.5, ["config.loss has unknown fields", "l2reg"]),
+        ("data.heterogenity", 5.0, ["config.data has unknown fields", "heterogenity"]),
+        ("data.seed", "7", ["config.data.seed"]),
+        ("data.seed", True, ["config.data.seed"]),
+        ("data.seed", 1.5, ["config.data.seed"]),
+        ("eval_evry", 5, ["config has unknown fields", "eval_evry"]),
+        ("data.means", [[0.0, 0.0], [1.0, 1.0]], ["config.data has unknown fields", "means"]),
+        ("data", {**GAUSSIAN_DATA, "num_devices": 3}, ["config.data has unknown fields", "num_devices"]),
+        ("data.device_file", "devices.jsonl", ["config.data has unknown fields", "generator"]),
+        ("schema_version", True, ["config.schema_version"]),
+        ("split_fraction", 0.01, ["config.split_fraction", "degenerate split"]),
+    ],
+    ids=lambda v: json.dumps(v),
+)
+def test_every_section_rejects_unknown_and_mistyped_fields(tmp_path, capsys, where, value, needles):
+    # Each once validated and ran: an unknown field was ignored, data.seed
+    # was read through int(), and a split with an empty side failed mid-run.
+    cfg = tiny_config(tmp_path / "out", split_fraction=0.5, loss={"kind": "squared_distance"})
+    cfg["data"]["num_devices"] = 6
+    _set(cfg, where, value)
+    path = write_config(tmp_path, cfg)
+    for argv in (["validate", "--config", path], ["run", "--config", path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and all(needle in err for needle in needles), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_degenerate_split_of_a_device_file(tmp_path, capsys):
+    # validate cannot count a device file's devices; run does before it writes anything.
+    device_file = tmp_path / "devices.jsonl"
+    save_devices_jsonl(gen_hetero_logistic(6, (4, 9), 3, 2, 1.0, seed=11), device_file)
+    cfg = tiny_config(tmp_path / "out", data={"device_file": str(device_file)}, split_fraction=0.01)
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("config error: config.split_fraction: degenerate split")
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_example_validates():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"### Config\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_experiment_config(json.loads(example))
+    assert cfg.data["generator"] == "hetero_logistic" and cfg.split_fraction == 0.5
+
+
+@pytest.mark.parametrize("data_seed, builds", [(None, 4), (5, 1)], ids=["cell-seed", "data-seed"])
+def test_run_builds_each_population_once_per_data_seed(tmp_path, monkeypatch, data_seed, builds):
+    # The theta loop is outer: with the cell seed as data seed, seeds 0 and 1
+    # alternate and each cell builds; one data seed builds once.
+    calls = []
+    real = cli.gen_hetero_logistic
+    monkeypatch.setattr(cli, "gen_hetero_logistic", lambda **kw: calls.append(kw["seed"]) or real(**kw))
+    cfg = tiny_config(tmp_path / "out", seeds=[0, 1])
+    cfg["data"].pop("seed")
+    if data_seed is not None:
+        cfg["data"]["seed"] = data_seed
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(calls) == builds and set(calls) == ({0, 1} if data_seed is None else {data_seed})
+
+
+def test_run_loads_a_device_file_once(tmp_path, monkeypatch):
+    device_file = tmp_path / "devices.jsonl"
+    save_devices_jsonl(gen_hetero_logistic(10, (4, 9), 3, 2, 1.0, seed=11), device_file)
+    calls = []
+    real = cli.load_devices_jsonl
+    monkeypatch.setattr(cli, "load_devices_jsonl", lambda path: calls.append(path) or real(path))
+    cfg = tiny_config(tmp_path / "out", seeds=[0, 1], data={"device_file": str(device_file)}, split_fraction=0.5)
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert calls == [str(device_file)]
+    assert len(list((tmp_path / "out" / "runs").glob("*/*/rounds.jsonl"))) == 4
 
 
 def test_run_rejects_a_zero_width_device_file(tmp_path, capsys):

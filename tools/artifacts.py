@@ -30,8 +30,7 @@ held-out split and a negative split_seed; and gaussian_mixture data.
 
 Loading a device file leaves its binary copy beside it, so OUT also holds
 ``inputs/binary.jsonl.cache.npz`` and ``inputs/multinomial.jsonl.cache.npz``.
-Each device-file run has 4 cells, so cells 2-4 read the copy the first cell
-wrote. The copies' bytes repeat from run to run; against OUT from a version
+Each device-file run loads its file once for its 4 cells. The copies' bytes repeat from run to run; against OUT from a version
 of tailfed that kept no copy, ``diff -r`` lists those two files only.
 """
 
