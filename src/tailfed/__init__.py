@@ -27,19 +27,13 @@ from .federation import (
     run_federated,
     smoothed_full_gradient,
 )
-from .metrics import (
-    DeviceMetricTable,
-    percentile,
-    summarize,
-    table_from_population,
-)
+from .metrics import percentile, summarize, table_from_population
 from .models import LossSpec, device_error, device_loss, init_params, point_grad, point_loss
 from .secure_agg import (
     AggregationTranscript,
     MMQuantileResult,
     PinballSpec,
     audit_transcript,
-    make_masked_aggregator,
     masked_weighted_sum,
     mm_quantile,
     pinball_loss,

@@ -135,6 +135,11 @@ def _checked(raw: dict, section: tuple[dict, tuple], where: str) -> dict:
         allowed, entries = _JSON_TYPES[types[name]]
         if type(value) not in allowed or entries and not all(type(v) in entries for v in value):
             raise ConfigError(f"{where}.{name} must be of type {types[name]}, got {json.dumps(value)}")
+        if float in (entries or allowed):
+            try:  # an int converts to a float unless it is too large, as 10**400 is
+                np.array(value, dtype=np.float64)
+            except OverflowError:
+                raise ConfigError(f"{where}.{name} holds an integer too large for a float") from None
     return raw
 
 
@@ -484,6 +489,8 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):  # flags override an object's fields only
+        return parse_experiment_config(raw)
     for key in ("algorithm", "output_dir"):
         val = getattr(overrides, key, None)
         if val is not None:
@@ -499,8 +506,8 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
             raw["seeds"] = [int(v) for v in overrides.seeds.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--seeds must be a comma-separated integer list: {exc}") from exc
-    if getattr(overrides, "rounds", None) is not None:
-        raw.setdefault("federation", {})["num_rounds"] = overrides.rounds
+    if getattr(overrides, "rounds", None) is not None and isinstance(raw.setdefault("federation", {}), dict):
+        raw["federation"]["num_rounds"] = overrides.rounds
     if getattr(overrides, "eval_every", None) is not None:
         raw["eval_every"] = overrides.eval_every
     return parse_experiment_config(raw)

@@ -23,7 +23,7 @@ import numpy as np
 from . import models
 from .data import Population, stream
 from .models import LossSpec
-from .secure_agg import _weighted_mean, make_masked_aggregator, masked_weighted_sum, secure_quantile_for_round
+from .secure_agg import _weighted_mean, masked_weighted_sum, secure_quantile_for_round
 from .superquantile import (
     WeightedValues,
     _stable_order,
@@ -177,8 +177,6 @@ def _finite_losses(cfg: FederationConfig, w: np.ndarray, sample: Population, t: 
         raise FloatingPointError(
             f"round {t} diverged: device {sample.device_ids[k]!r} has a non-finite {which} loss ({float(losses[k])})"
         )
-    # Read-only, so that a WeightedValues takes the array without a copy.
-    losses.setflags(write=False)
     return losses
 
 
@@ -191,8 +189,7 @@ def _round_threshold(
     if eta_override is not None:
         return float(eta_override)
     if cfg.eta_protocol == "secure_mm":
-        agg = make_masked_aggregator(mask_seed) if cfg.aggregation == "masked" else None
-        return secure_quantile_for_round(reported.values, reported.weights, cfg.theta, aggregator=agg)
+        return secure_quantile_for_round(reported.values, reported.weights, cfg.theta, mask_seed)
     return weighted_quantile(reported, cfg.theta)
 
 
@@ -224,7 +221,6 @@ def deltafl_round(
     mask_seed = int(rng.integers(1 << 62)) if cfg.aggregation == "masked" else None
     weights = pop.weights[idx]
     sample_weights = weights / weights.sum()
-    sample_weights.setflags(write=False)  # as the losses: profiles take it as is
     losses = _finite_losses(cfg, w, sample, t, "reported")
     # One profile of the reported losses serves the threshold and
     # pre_objective, so the losses are sorted at most once.

@@ -1,4 +1,4 @@
-"""Per-device metric tables, their summaries, and the CSV summary writer.
+"""Per-device metric profiles, their summaries, and the CSV summary writer.
 
 Percentiles follow the lower-value convention with no interpolation: the
 tau-th percentile of a profile is its weighted (1 - tau/100)-quantile, i.e.
@@ -10,8 +10,6 @@ uniformly across devices.
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,72 +19,42 @@ METRIC_KINDS = ("train_loss", "test_error")
 PERCENTILES = (20, 50, 60, 80, 90, 95)
 
 
-@dataclass
-class DeviceMetricTable:
-    kind: str
-    device_ids: Sequence[str]
-    weights: list[float]
-    values: list[float]
-
-    def __post_init__(self) -> None:
-        if self.kind not in METRIC_KINDS:
-            raise ValueError(f"kind must be one of {METRIC_KINDS}, got {self.kind!r}")
-        n = len(self.device_ids)
-        if not (len(self.weights) == len(self.values) == n) or n == 0:
-            raise ValueError("table columns must be non-empty and equally long")
-        # builtin scalars only, whatever produced the column
-        self.weights = [float(w) for w in self.weights]
-        self.values = [float(v) for v in self.values]
-        if self.kind == "test_error":
-            bad = [v for v in self.values if not (0.0 <= v <= 1.0)]
-            if bad:
-                raise ValueError(f"test_error values must lie in [0, 1], got {bad[:3]}")
-
-    def __len__(self) -> int:
-        return len(self.device_ids)
-
-    def _profile(self) -> WeightedValues:
-        if self.kind == "train_loss":
-            return WeightedValues(self.values, self.weights)
-        return WeightedValues(self.values, np.full(len(self), 1.0 / len(self)))
-
-
-def table_from_population(pop, kind: str, values) -> DeviceMetricTable:
-    """Build a table over every device of a population.
+def table_from_population(pop, kind: str, values) -> WeightedValues:
+    """The profile a summary reads over every device of a population.
 
     values is either one value per device in device order (as the packed
     kernels in tailfed.models return them) or a function of each pop.shards[k].
+    Training losses carry the device sampling weights; test errors, each in
+    [0, 1], carry uniform weights.
     """
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"kind must be one of {METRIC_KINDS}, got {kind!r}")
     if callable(values):
         values = [values(s) for s in pop.shards]
-    return DeviceMetricTable(
-        kind=kind,
-        device_ids=pop.device_ids,
-        weights=pop.weights.tolist(),
-        values=list(values),
-    )
+    n = len(pop)
+    profile = WeightedValues(values, pop.weights if kind == "train_loss" else np.full(n, 1.0 / n))
+    if kind == "test_error":
+        outside = profile.values[(profile.values < 0.0) | (profile.values > 1.0)]
+        if outside.size:
+            raise ValueError(f"test_error values must lie in [0, 1], got {outside[:3].tolist()}")
+    return profile
 
 
-def percentile(table: DeviceMetricTable, tau: float) -> float:
-    """tau-th percentile of the table's values under its summary weighting."""
-    return _percentile(table._profile(), tau)
-
-
-def _percentile(profile: WeightedValues, tau: float) -> float:
+def percentile(profile: WeightedValues, tau: float) -> float:
+    """tau-th percentile of the profile: its weighted (1 - tau/100)-quantile."""
     if not (0.0 <= tau < 100.0):
         raise ValueError(f"percentile level must lie in [0, 100), got {tau!r}")
     return weighted_quantile(profile, 1.0 - tau / 100.0)
 
 
-def summarize(table: DeviceMetricTable) -> dict[str, float]:
+def summarize(profile: WeightedValues) -> dict[str, float]:
     """Mean and the PERCENTILES as a flat dict: {"mean", "p20", ...}.
 
-    All of them read one profile, so its values are sorted once.
+    All of them read the one profile, so its values are sorted once.
     """
-    profile = table._profile()
     out = {"mean": profile.mean()}
     for tau in PERCENTILES:
-        out[f"p{int(tau)}"] = _percentile(profile, float(tau))
+        out[f"p{int(tau)}"] = percentile(profile, float(tau))
     return out
 
 

@@ -8,14 +8,14 @@ crossed the wire so tests can audit exactly that.
 
 The quantile protocol reformulates quantile estimation as minimization of
 the pinball loss and runs a majorize-minimize iteration whose numerator and
-denominator sums travel together through one aggregator call per step, so
-one step is one secure-aggregation round trip and composes with masking.
+denominator sums travel together as one weighted sum per step, so one step
+is one secure-aggregation round trip and composes with masking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .data import stream
 from .superquantile import WeightedValues
 
 Contribution = tuple[np.ndarray, float]
-Aggregator = Callable[[Sequence[Contribution]], np.ndarray]
 
 # Floor for majorize-minimize denominators; also the coincidence tolerance
 # for snapping onto a data point.
@@ -117,18 +116,6 @@ def audit_transcript(
     return {"min_relative_distance": min_rel, "leaked": bool(leaked), "flags": list(transcript.flags)}
 
 
-def make_masked_aggregator(pairwise_seed: int) -> Aggregator:
-    """Aggregator closure over masked_weighted_sum. Call c masks with the c-th
-    sub-seed drawn from ``stream(pairwise_seed, 1)``, a stream apart from the
-    masks of ``masked_weighted_sum(..., pairwise_seed)`` itself."""
-    sub_seeds = stream(pairwise_seed, 1)
-
-    def _agg(contributions: Sequence[Contribution]) -> np.ndarray:
-        return masked_weighted_sum(contributions, int(sub_seeds.integers(1 << 63)))[0]
-
-    return _agg
-
-
 @dataclass(frozen=True)
 class PinballSpec:
     """A weighted sample plus the quantile level tau in (0, 1)."""
@@ -189,7 +176,7 @@ def mm_quantile(
     spec: PinballSpec,
     max_iters: int = 500,
     tol: float = 1e-10,
-    aggregator: Aggregator | None = None,
+    mask_seed: int | None = None,
     init: float | None = None,
 ) -> MMQuantileResult:
     """Majorize-minimize iteration for the tau-quantile of a weighted sample.
@@ -200,9 +187,11 @@ def mm_quantile(
         mu <- (sum_k beta_k x_k + (2 tau - 1)) / sum_k beta_k,
         beta_k = a_k / |x_k - mu|.
 
-    Both sums come from one aggregator call on [beta_k x_k, beta_k], one
-    secure-aggregation round trip per step, so the server never handles
-    per-device values directly when a masking aggregator is passed.
+    Both sums come from one weighted sum of the rows [beta_k x_k, beta_k],
+    one secure-aggregation round trip per step: plain_weighted_sum, or, given
+    a mask_seed, masked_weighted_sum under the step's draw from
+    ``stream(mask_seed, 1)`` (apart from the masks of
+    ``masked_weighted_sum(..., mask_seed)``), so the server never sees a row.
     An iterate that lands on a data point stays there under the update rule,
     so it is returned once it passes the optimality check and stepped off
     otherwise. Non-convergence within max_iters returns the best iterate with
@@ -212,8 +201,7 @@ def mm_quantile(
     the data points); starting exactly on a minimizing data point returns it
     immediately.
     """
-    if aggregator is None:
-        aggregator = plain_weighted_sum
+    sub_seeds = None if mask_seed is None else stream(mask_seed, 1)
     x, a = spec.values, spec.weights
     span = float(x.max() - x.min())
     if span == 0.0:
@@ -235,7 +223,9 @@ def mm_quantile(
             trace.append(mu)
             continue
         beta = a / np.maximum(dist, MM_CLIP)
-        num, den = (aggregator([(row, 1.0) for row in np.column_stack([beta * x, beta])]) * x.size).tolist()
+        rows = [(row, 1.0) for row in np.column_stack([beta * x, beta])]
+        sums = masked_weighted_sum(rows, int(sub_seeds.integers(1 << 63)))[0] if sub_seeds else plain_weighted_sum(rows)
+        num, den = (sums * x.size).tolist()
         mu_next = (num + (2.0 * spec.tau - 1.0)) / den
         # A minimizer of a discrete pinball loss is always a data point, and
         # the plain iteration only crawls into it geometrically. Once the
@@ -258,9 +248,10 @@ def secure_quantile_for_round(
     losses: Sequence[float],
     weights: Sequence[float],
     theta: float,
-    aggregator: Aggregator | None = None,
+    mask_seed: int | None = None,
 ) -> float:
-    """(1-theta)-quantile of reported losses via the aggregated MM protocol.
+    """(1-theta)-quantile of reported losses via the MM protocol, masked under
+    mask_seed when one is given.
 
     theta = 1 short-circuits to the minimum loss, the 0-quantile, which every
     reported loss reaches; training rounds at theta = 1 take no threshold and
@@ -271,4 +262,4 @@ def secure_quantile_for_round(
         return float(losses.min())
     w = np.asarray(weights, dtype=np.float64)
     spec = PinballSpec(losses, w / w.sum(), tau=1.0 - float(theta))
-    return mm_quantile(spec, aggregator=aggregator).value
+    return mm_quantile(spec, mask_seed=mask_seed).value

@@ -44,23 +44,21 @@ class WeightedValues:
     """A finite distribution: values with strictly positive probability weights.
 
     Weights must sum to 1 within ``RENORM_TOL``; small drift is renormalized
-    on construction. ``values`` and ``weights`` are read-only arrays that no
-    caller can write: an array passed in that the caller could still edit is
-    copied, while one that is already read-only and owns its memory (another
-    profile's, say) is taken as is. The profile sorted by value is built on
-    first use and kept, with its prefix sums; every threshold function reads
-    that one view.
+    on construction. ``values`` and ``weights`` are read-only copies of what
+    was passed, so no caller can write them. The profile sorted by value is
+    built on first use and kept, with its prefix sums; every threshold
+    function reads that one view.
     """
 
     __slots__ = ("values", "weights", "_sorted", "_moment")
 
     def __init__(self, values, weights) -> None:
-        v = np.asarray(values, dtype=np.float64)
+        v = np.array(values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
         if not np.isfinite(v).all():
             raise ValueError("values must be finite")
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)
         if w.shape != v.shape:
             raise ValueError("values and weights must have matching length")
         if not np.isfinite(w).all():
@@ -71,9 +69,10 @@ class WeightedValues:
         if abs(total - 1.0) > RENORM_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         if abs(total - 1.0) > EPS:
-            w = w / total
-        self.values = _read_only(v, values)
-        self.weights = _read_only(w, weights)
+            w /= total
+        v.setflags(write=False)
+        w.setflags(write=False)
+        self.values, self.weights = v, w
         self._sorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._moment: np.ndarray | None = None
 
@@ -82,19 +81,6 @@ class WeightedValues:
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.weights))
-
-
-def _read_only(arr: np.ndarray, given) -> np.ndarray:
-    # arr is np.asarray(given) or computed from it. It is frozen without a
-    # copy when no one else can write it: made here (from a list, from an
-    # array of another dtype, or by renormalizing), or passed in already
-    # read-only and owning its memory, as another profile's arrays are.
-    made_here = arr is not given and isinstance(given, (np.ndarray, list, tuple))
-    frozen = arr is given and not arr.flags.writeable
-    if not (arr.flags.owndata and (made_here or frozen)):
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:

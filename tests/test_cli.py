@@ -440,16 +440,24 @@ NAN, INF = float("nan"), float("inf")
         ("am.initial_step", NAN, "config.am.initial_step"),
         ("am.num_iters", "2", "config.am.num_iters"),
         ("am.eps0", INF, "config.am.eps0"),
+        # an integer too large for a float (float() overflows) in each float field
+        ("loss.l2_reg", 10**400, "config.loss.l2_reg "),
+        ("federation.nu", 10**400, "config.federation.nu "),
+        ("federation.lr0", 10**400, "config.federation.lr0 "),
+        ("data.heterogeneity", 10**400, "config.data.heterogeneity "),
+        ("am.eps0", 10**400, "config.am.eps0 "),
     ],
     ids=[
         "nan-heterogeneity", "infinite-heterogeneity", "zero-feature-dim", "nan-mean", "ragged-means",
         "string-means", "nan-l2-reg", "infinite-lr0", "negative-strong-convexity", "nan-initial-step",
-        "string-num-iters", "infinite-eps0",
+        "string-num-iters", "infinite-eps0", "huge-int-l2-reg", "huge-int-nu", "huge-int-lr0",
+        "huge-int-heterogeneity", "huge-int-eps0",
     ],
 )
 def test_bad_values_are_config_errors_at_validate_and_run(tmp_path, capsys, where, value, field):
-    # Each would otherwise fail mid-run with exit 2 (a diverged round 0, a
-    # numpy error), or run with a zero-width model or no AM certificate.
+    # Each would otherwise fail mid-run or at validate with exit 2 (a diverged
+    # round 0, a numpy error, a float overflow), or run with a zero-width
+    # model or no AM certificate.
     cfg = tiny_config(tmp_path / "out", algorithm="am_meta", thetas=[0.5])
     if where == "data.means":
         cfg["data"], cfg["loss"] = dict(GAUSSIAN_DATA), {"kind": "squared_distance"}
@@ -457,6 +465,28 @@ def test_bad_values_are_config_errors_at_validate_and_run(tmp_path, capsys, wher
     cfg.setdefault(section, {})[key] = value
     path = write_config(tmp_path, cfg)
     for argv in (["validate", "--config", path], ["run", "--config", path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "root, flags, field",
+    [
+        ({"federation": []}, ["--rounds", "3"], "config.federation"),
+        ({"federation": 5}, ["--rounds", "3"], "config.federation"),
+        ([], ["--algorithm", "fedavg"], "config root"),
+        ([], ["--rounds", "3"], "config root"),
+        ("deltafl", ["--thetas", "0.5"], "config root"),
+    ],
+    ids=["list-federation", "number-federation", "list-root-algorithm", "list-root-rounds", "string-root-thetas"],
+)
+def test_flag_overrides_leave_a_misshapen_config_to_its_checks(tmp_path, capsys, root, flags, field):
+    # run reports the shape as validate does, with exit 1, whatever flags it is given
+    cfg = tiny_config(tmp_path / "out", **root) if isinstance(root, dict) else root
+    path = write_config(tmp_path, cfg)
+    for argv in (["validate", "--config", path], ["run", "--config", path, *flags]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err

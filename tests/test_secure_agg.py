@@ -10,7 +10,6 @@ from tailfed import (
     AggregationTranscript,
     PinballSpec,
     audit_transcript,
-    make_masked_aggregator,
     masked_weighted_sum,
     mm_quantile,
     pinball_loss,
@@ -123,46 +122,62 @@ def test_audit_catches_plain_payloads():
 
 
 def spy_on_masked_sums(monkeypatch):
-    """Record the transcript of every masked sum an aggregator runs."""
-    transcripts = []
+    """Record (contributions, transcript) of every masked sum the MM protocol runs."""
+    calls = []
     real = tailfed.secure_agg.masked_weighted_sum
 
-    def spy(*args, **kwargs):
-        result, transcript = real(*args, **kwargs)
-        transcripts.append(transcript)
+    def spy(contributions, pairwise_seed):
+        result, transcript = real(contributions, pairwise_seed)
+        calls.append((contributions, transcript))
         return result, transcript
 
     monkeypatch.setattr(tailfed.secure_agg, "masked_weighted_sum", spy)
-    return transcripts
+    return calls
 
 
-def test_aggregator_factory_rotates_masks_but_not_results(monkeypatch):
-    contribs = [(np.array([1.0, 5.0]), 1.0), (np.array([-2.0, 0.5]), 2.0)]
-    transcripts = spy_on_masked_sums(monkeypatch)
-    agg = make_masked_aggregator(pairwise_seed=17)
-    r1 = agg(contribs)
-    r2 = agg(contribs)
-    assert np.allclose(r1, r2, rtol=1e-9)
-    p1 = transcripts[0].payloads[0]
-    p2 = transcripts[1].payloads[0]
-    assert not np.allclose(p1, p2)  # fresh sub-seed per call
+def mask_part(contributions, transcript):
+    """What the masks added to each payload row: the payloads less the raw [w * v, w] rows."""
+    raw = np.array([np.append(w * np.asarray(v), w) for v, w in contributions])
+    return transcript.payloads - raw
 
 
-def test_aggregator_masks_differ_from_a_direct_masked_sum(monkeypatch):
-    # The aggregator's sub-seeds must not come from the direct sum's stream
-    # of the same seed: a round's threshold step would then reuse its update
+# Ten values the MM iteration needs six steps for.
+MM_SPEC = PinballSpec(np.random.default_rng(46).normal(size=10) * 10, np.full(10, 0.1), tau=0.35)
+
+
+def test_mask_seed_rotates_masks_but_not_results(monkeypatch):
+    calls = spy_on_masked_sums(monkeypatch)
+    masked = mm_quantile(MM_SPEC, mask_seed=17)
+    plain = mm_quantile(MM_SPEC)
+    assert len(calls) == masked.iterations == 6
+    assert masked.value == plain.value and masked.iterations == plain.iterations
+    masks = [mask_part(*call) for call in calls]
+    for earlier, later in zip(masks, masks[1:]):
+        assert not np.allclose(earlier, later)  # fresh sub-seed per step
+    for contributions, transcript in calls:
+        sums = transcript.payloads.sum(axis=0)
+        assert np.allclose(sums[:-1] / sums[-1], plain_weighted_sum(contributions), rtol=1e-9)
+
+
+def test_mm_masks_differ_from_a_direct_masked_sum(monkeypatch):
+    # The protocol's sub-seeds must not come from the direct sum's stream of
+    # the same seed: a round's threshold step would then reuse its update
     # masks.
-    contribs = [(np.array([1.0, 5.0]), 1.0), (np.array([-2.0, 0.5]), 2.0), (np.array([0.5, 0.5]), 1.5)]
-    transcripts = spy_on_masked_sums(monkeypatch)
-    make_masked_aggregator(pairwise_seed=23)(contribs)
-    assert len(transcripts) == 1
-    _, direct = masked_weighted_sum(contribs, pairwise_seed=23)
-    for sent, own in zip(transcripts[0].payloads, direct.payloads):
-        assert not np.allclose(sent, own)
-    # The sub-seeds are the draws of stream(seed, 1), in call order.
-    sub_seed = int(stream(23, 1).integers(1 << 63))
-    _, expected = masked_weighted_sum(contribs, pairwise_seed=sub_seed)
-    assert np.array_equal(transcripts[0].payloads, expected.payloads)
+    calls = spy_on_masked_sums(monkeypatch)
+    mm_quantile(MM_SPEC, mask_seed=23)
+    contributions, sent = calls[0]
+    _, direct = masked_weighted_sum(contributions, 23)  # the real sum, imported before the spy
+    for row, own in zip(sent.payloads, direct.payloads):
+        assert not np.allclose(row, own)
+
+
+def test_mm_step_c_masks_with_the_c_th_draw_of_the_sub_seed_stream(monkeypatch):
+    calls = spy_on_masked_sums(monkeypatch)
+    mm_quantile(MM_SPEC, mask_seed=29)
+    sub_seeds = stream(29, 1)
+    for contributions, sent in calls:
+        _, expected = masked_weighted_sum(contributions, int(sub_seeds.integers(1 << 63)))
+        assert np.array_equal(sent.payloads, expected.payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +272,25 @@ def test_mm_flat_interval_returns_a_minimizer():
     assert pinball_loss(spec, res.value) == pytest.approx(pinball_loss(spec, 0.0), abs=1e-12)
 
 
-def test_mm_one_aggregator_call_per_update():
-    calls = [0]
-
-    def counting(contribs):
-        calls[0] += 1
-        assert all(np.shape(v) == (2,) for v, _ in contribs)  # [beta_k x_k, beta_k]
-        return plain_weighted_sum(contribs)
-
+def test_mm_one_weighted_sum_per_update(monkeypatch):
     rng = np.random.default_rng(46)
     vals = rng.normal(size=10)
     w = np.full(10, 0.1)
     spec = PinballSpec(vals, w, tau=0.3)
-    res = mm_quantile(spec, aggregator=counting)
-    assert res.converged
-    assert calls[0] == res.iterations
+    for mask_seed, name in ((None, "plain_weighted_sum"), (31, "masked_weighted_sum")):
+        calls = [0]
+        real = getattr(tailfed.secure_agg, name)
+
+        def counting(contribs, *seed, real=real):
+            calls[0] += 1
+            assert all(np.shape(v) == (2,) for v, _ in contribs)  # [beta_k x_k, beta_k]
+            return real(contribs, *seed)
+
+        monkeypatch.setattr(tailfed.secure_agg, name, counting)
+        res = mm_quantile(spec, mask_seed=mask_seed)
+        monkeypatch.undo()
+        assert res.converged
+        assert calls[0] == res.iterations
 
 
 def test_mm_flat_stretch_snaps_to_the_same_point_masked_or_plain():
@@ -285,7 +304,7 @@ def test_mm_flat_stretch_snaps_to_the_same_point_masked_or_plain():
     assert direct == 0.46
     assert secure_quantile_for_round(losses, counts, 0.5) == direct
     for seed in range(20):
-        assert secure_quantile_for_round(losses, counts, 0.5, aggregator=make_masked_aggregator(seed)) == direct
+        assert secure_quantile_for_round(losses, counts, 0.5, mask_seed=seed) == direct
 
 
 def test_mm_nonconvergence_returns_best_iterate():
@@ -333,7 +352,6 @@ def test_round_quantile_masked_equals_plain():
         losses = rng.normal(size=n) * 10
         wts = rng.uniform(0.5, 2.0, size=n)
         theta = float(rng.uniform(0.2, 0.9))
-        agg = make_masked_aggregator(pairwise_seed=100 + trial)
-        qa = secure_quantile_for_round(losses, wts, theta, aggregator=agg)
+        qa = secure_quantile_for_round(losses, wts, theta, mask_seed=100 + trial)
         qb = secure_quantile_for_round(losses, wts, theta)
         assert abs(qa - qb) <= 1e-7 * max(1.0, abs(qb))

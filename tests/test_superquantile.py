@@ -90,10 +90,12 @@ def test_weighted_values_holds_read_only_copies():
     values[1] = -5.0
     assert wv.values[1] == 1.0
     assert weighted_quantile(wv, 1.0) == 1.0
-    # a profile's own arrays are taken as is; a read-only view of a writable
-    # array is still copied, since its owner can write it
+    # a profile built from another profile's arrays copies them too, as it
+    # copies a read-only view of an array whose owner can still write it
     again = WeightedValues(wv.values, wv.weights)
-    assert again.values is wv.values and again.weights is wv.weights
+    assert not np.shares_memory(again.values, wv.values)
+    assert not np.shares_memory(again.weights, wv.weights)
+    assert again.values.tobytes() == wv.values.tobytes()
     view = values.view()
     view.setflags(write=False)
     assert not np.shares_memory(WeightedValues(view, weights).values, values)
