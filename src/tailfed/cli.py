@@ -335,8 +335,11 @@ def _run_cell(
             final["grad_norm"] = result.iterates[-1].grad_norm
             return final
 
-        def write_snapshot(snap) -> None:
-            table.write({"round": snap.round_index, **_final_metrics(cfg, snap.params, train, test)})
+        rows: dict[int, dict[str, float]] = {}  # each metrics row written, by round
+
+        def write_metrics(t: int, params: np.ndarray) -> None:
+            rows[t] = _final_metrics(cfg, params, train, test)
+            table.write({"round": t, **rows[t]})
 
         run = run_federated(
             train,
@@ -344,13 +347,12 @@ def _run_cell(
             algorithm=cfg.algorithm,
             eval_every=cfg.eval_every,
             on_round=lambda log: write_line(log.to_dict()),
-            on_snapshot=write_snapshot,
+            on_snapshot=lambda snap: write_metrics(snap.round_index, snap.params),
         )
-        final = _final_metrics(cfg, run.params, train, test)
         final_round = len(run.rounds) - 1
-        if not run.snapshots or run.snapshots[-1].round_index != final_round:
-            table.write({"round": final_round, **final})
-        return final
+        if final_round not in rows:  # unless a snapshot of the final round wrote them
+            write_metrics(final_round, run.params)
+        return rows[final_round]
 
 
 def _schedule_and_solver(am: AMSettings) -> tuple[PowerLawSchedule, CertifiedGradientDescent]:
@@ -487,8 +489,8 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory; not UTF-8, not JSON, or an int past the digit limit
+        raise ConfigError(f"config file {path} is not readable as valid JSON: {exc}") from exc
     if not isinstance(raw, dict):  # flags override an object's fields only
         return parse_experiment_config(raw)
     for key in ("algorithm", "output_dir"):

@@ -87,12 +87,17 @@ class Population:
         rows = zip(np.split(self.features, cuts), np.split(self.labels, cuts), np.split(self.sizes, len(self)))
         return tuple(Population(X, y, n, (d,), (1.0,)) for d, (X, y, n) in zip(self.device_ids, rows))
 
+    def _rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The packed rows of devices idx, in that order, with those devices'
+        # sizes and their offsets into the gathered rows.
+        sizes = self.sizes[idx]
+        offsets = sizes.cumsum() - sizes
+        return (self.offsets[idx] - offsets).repeat(sizes) + np.arange(int(sizes.sum())), sizes, offsets
+
     def select(self, devices) -> "Population":
         """The given devices (indices into this population), in that order, weights renormalized."""
         idx = np.asarray(devices, dtype=np.int64)
-        sizes = self.sizes[idx]
-        offsets = np.cumsum(sizes) - sizes
-        rows = np.repeat(self.offsets[idx] - offsets, sizes) + np.arange(int(sizes.sum()))
+        rows, sizes, _ = self._rows(idx)
         return Population(
             np.take(self.features, rows, axis=0),
             np.take(self.labels, rows),

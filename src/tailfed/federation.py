@@ -127,16 +127,17 @@ def lr_schedule(cfg: FederationConfig, t: int) -> float:
     return cfg.lr0 * cfg.lr_decay ** (t // cfg.lr_decay_every)
 
 
-def _visiting_orders(cfg: FederationConfig, packed: Population, rng: np.random.Generator) -> tuple:
+def _visiting_orders(cfg: FederationConfig, sizes: np.ndarray, offsets: np.ndarray, rng: np.random.Generator) -> tuple:
     # Every device's visiting order in one draw on rng: one flat array of
-    # packed rows grouped by device, and each device's visit count. Point mode
-    # draws n_local rows per device with replacement. Epoch mode sorts one
+    # packed rows grouped by device, and each device's visit count, for
+    # devices of the given sizes whose rows start at the given offsets. Point
+    # mode draws n_local rows per device with replacement. Epoch mode sorts one
     # uniform key per row within its device: keys lie in [0, 1), so device +
     # key keeps devices apart, and a stable sort breaks a rounding tie by row.
-    n, sizes = cfg.n_local, packed.sizes
+    n = cfg.n_local
     if not cfg.local_epoch:
-        return np.repeat(packed.offsets, n) + rng.integers(np.repeat(sizes, n)), np.full(sizes.size, n)
-    device = np.repeat(np.arange(sizes.size), sizes)
+        return offsets.repeat(n) + rng.integers(sizes.repeat(n)), np.full(sizes.size, n)
+    device = np.arange(sizes.size).repeat(sizes)
     return _stable_order(device + rng.random(device.size)), sizes
 
 
@@ -163,19 +164,21 @@ def local_update(
     if len(shard) != 1:
         raise ValueError(f"local_update trains one device, got a population of {len(shard)}")
     w = models._check_params(cfg.loss, w, shard.feature_dim)
-    order, counts = _visiting_orders(cfg, shard, rng)
-    return models._local_sgd(cfg.loss, w, shard, order, counts, lr, _batch_size(cfg))[0]
+    y = models._labels_for(cfg.loss, shard.labels)
+    order, counts = _visiting_orders(cfg, shard.sizes, shard.offsets, rng)
+    return models._local_sgd(cfg.loss, w, shard.features, y, order, counts, lr, _batch_size(cfg))[0]
 
 
-def _finite_losses(cfg: FederationConfig, w: np.ndarray, sample: Population, t: int, which: str) -> np.ndarray:
-    # A non-finite loss means training diverged: name the round and the device
-    # here, instead of numpy's overflow warning on the way there.
+def _finite_losses(evaluate: Callable[[], np.ndarray], ids: list[str], t: int, which: str) -> np.ndarray:
+    # The sampled devices' losses, from evaluate(). A non-finite loss means
+    # training diverged: name the round and the device here, instead of
+    # numpy's overflow warning on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = models.packed_losses(cfg.loss, w, sample)
+        losses = evaluate()
     if not np.isfinite(losses).all():
         k = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise FloatingPointError(
-            f"round {t} diverged: device {sample.device_ids[k]!r} has a non-finite {which} loss ({float(losses[k])})"
+            f"round {t} diverged: device {ids[k]!r} has a non-finite {which} loss ({float(losses[k])})"
         )
     return losses
 
@@ -210,18 +213,22 @@ def deltafl_round(
     stream stream(cfg.seed, 2, t) draws the sample, then every sampled
     device's visiting order, then the mask seed.
     """
-    rng = stream(cfg.seed, 2, t)
+    spec, rng = cfg.loss, stream(cfg.seed, 2, t)
+    w = models._check_params(spec, w, pop.feature_dim)
     # Uniform sampling with replacement; duplicates collapse to one slot. A
     # count sorts them: np.unique's first call adds ~1.7 MB of peak memory.
-    idx = np.flatnonzero(np.bincount(rng.integers(0, len(pop), size=cfg.devices_per_round), minlength=len(pop)))
-    sample = pop.select(idx)
+    idx = np.bincount(rng.integers(0, len(pop), size=cfg.devices_per_round), minlength=len(pop)).nonzero()[0]
+    # The sample's rows, gathered once: both loss passes and local SGD read them.
+    rows, sizes, offsets = pop._rows(idx)
+    X, y = pop.features.take(rows, axis=0), models._labels_for(spec, pop.labels.take(rows))
+    ids = [pop.device_ids[k] for k in idx.tolist()]
     # Orders come before filtering, so a survivor's order does not depend on who
     # else survived, and before the mask seed, so plain and masked rounds agree.
-    order, counts = _visiting_orders(cfg, sample, rng)
+    order, counts = _visiting_orders(cfg, sizes, offsets, rng)
     mask_seed = int(rng.integers(1 << 62)) if cfg.aggregation == "masked" else None
     weights = pop.weights[idx]
     sample_weights = weights / weights.sum()
-    losses = _finite_losses(cfg, w, sample, t, "reported")
+    losses = _finite_losses(lambda: models._device_losses(spec, w, X, y, offsets, sizes), ids, t, "reported")
     # One profile of the reported losses serves the threshold and
     # pre_objective, so the losses are sorted at most once.
     reported = WeightedValues(losses, sample_weights)
@@ -241,23 +248,26 @@ def deltafl_round(
 
     # The sample trains as drawn, but a dropped device has no visits: it takes
     # no step and has no row in the result.
-    visits = np.repeat(keep, counts)
+    visits = keep.repeat(counts)
     lr = lr_schedule(cfg, t)
-    trained = models._local_sgd(cfg.loss, w, sample, order[visits], counts * keep, lr, _batch_size(cfg))
+    trained = models._local_sgd(spec, w, X, y, order[visits], counts * keep, lr, _batch_size(cfg))
     if cfg.aggregation == "masked":
         w_next = masked_weighted_sum(list(zip(trained, weights[keep])), mask_seed)[0]
     else:
         w_next = _weighted_mean(trained, weights[keep])
 
-    post_losses = _finite_losses(cfg, w_next, sample, t, "post-round")
+    post_losses = _finite_losses(
+        lambda: models._device_losses(spec, w_next, X, y, offsets, sizes), ids, t, "post-round"
+    )
+    step = w_next - w  # its norm as np.linalg.norm computes it, without the wrapper
     log = RoundLog(
         round_index=t,
-        sampled_ids=list(sample.device_ids),
+        sampled_ids=ids,
         eta=eta,
-        filtered_ids=list(compress(sample.device_ids, keep)),
+        filtered_ids=list(compress(ids, keep)),
         pre_objective=superquantile(reported, cfg.theta),
         post_objective=superquantile(WeightedValues(post_losses, sample_weights), cfg.theta),
-        update_norm=float(np.linalg.norm(w_next - w)),
+        update_norm=math.sqrt(step.dot(step)),
     )
     return w_next, log
 

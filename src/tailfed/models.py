@@ -102,8 +102,8 @@ def point_loss(spec: LossSpec, w: np.ndarray, x: np.ndarray, y) -> float:
 def point_grad(spec: LossSpec, w: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     w = _check_params(spec, w, x.size)
-    grad = _row_grads(spec, w, x[None, :], _labels_for(spec, np.asarray([y])), np.ones(1))
-    return grad + spec.l2_reg * w
+    y, c = _labels_for(spec, np.asarray([y])), np.ones(1)
+    return _row_grads(spec, w, x[None, :], y, c, _grad_factor(spec, y, c)) + spec.l2_reg * w
 
 
 def device_loss(spec: LossSpec, w: np.ndarray, shard) -> float:
@@ -159,16 +159,26 @@ def _margins(spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray):
     return None
 
 
+def _grad_factor(spec: LossSpec, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # What _row_grads reads of row weights c and converted labels y but not of
+    # W: sum_i c_i, -c_i * y_i, or each row's one-hot class mask.
+    if spec.kind == "squared_distance":
+        return c.sum(axis=-1)[..., None]
+    if spec.kind == "binary_logistic":
+        return -c * y
+    return y[..., None] == np.arange(spec.num_classes)
+
+
 def _row_grads(
-    spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray, c: np.ndarray, margins=None
+    spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray, c: np.ndarray, factor: np.ndarray, margins=None
 ) -> np.ndarray:
     """Row-weighted gradient sum_i c_i * grad f(W; x_i, y_i), ridge term excluded.
 
     Shapes broadcast over leading axes: X is (..., n, p), W is (..., d), and
     y (converted by _labels_for) and c are (..., n). With X (n, p) this is
     one parameter vector over n rows; with X (k, b, p) it is k independent
-    batches, each with its own row of W. ``margins`` are _margins at W, if
-    the caller has them.
+    batches, each with its own row of W. ``factor`` is _grad_factor(spec,
+    y, c), and ``margins`` are _margins at W, if the caller has them.
     """
     def weighted_sum(r: np.ndarray) -> np.ndarray:
         # sum_i r_i x_i over the row axis: (..., n) -> (..., p)
@@ -176,21 +186,30 @@ def _row_grads(
 
     if spec.kind == "squared_distance":
         # grad ||x - w||^2 = 2 (w - x)
-        return 2.0 * (c.sum(axis=-1)[..., None] * W - weighted_sum(c))
+        return 2.0 * (factor * W - weighted_sum(c))
     if margins is None:
         margins = _margins(spec, W, X, y)
     if spec.kind == "binary_logistic":
         # d/dm log(1+exp(-m)) = -sigmoid(-m); margins below -500 give 1 either way
-        return weighted_sum(-c * y / (1.0 + np.exp(np.minimum(margins, 500.0))))
+        return weighted_sum(factor / (1.0 + np.exp(np.minimum(margins, 500.0))))
     probs = np.exp(margins)
-    probs -= y[..., None] == np.arange(spec.num_classes)
+    probs -= factor
     return (np.swapaxes(probs * c[..., None], -1, -2) @ X).reshape(W.shape)
 
 
 def packed_losses(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
     """Every device's mean loss (ridge term included), in device order."""
-    rows = batch_losses(spec, w, packed.features, packed.labels)
-    return np.add.reduceat(rows, packed.offsets) / packed.sizes
+    w = _check_params(spec, w, packed.features.shape[1])
+    return _device_losses(spec, w, packed.features, _labels_for(spec, packed.labels), packed.offsets, packed.sizes)
+
+
+def _device_losses(spec: LossSpec, w: np.ndarray, X, y, offsets, sizes, margins=None) -> np.ndarray:
+    # packed_losses on checked parameters and the packed rows X, y (labels
+    # converted) of devices with the given offsets and sizes; margins are
+    # _margins at w, if the caller has them.
+    if margins is None:
+        margins = _margins(spec, w, X, y)
+    return np.add.reduceat(_row_losses(spec, w, X, y, margins), offsets) / sizes
 
 
 def packed_errors(spec: LossSpec, w: np.ndarray, packed) -> np.ndarray:
@@ -215,13 +234,14 @@ def _packed_point(spec: LossSpec, packed):
     def point(w: np.ndarray):
         w = _check_params(spec, w, X.shape[1]).copy()
         margins = _margins(spec, w, X, y)
-        values = np.add.reduceat(_row_losses(spec, w, X, y, margins), packed.offsets) / sizes
+        values = _device_losses(spec, w, X, y, packed.offsets, sizes, margins)
 
         def weighted_grad(coeff) -> np.ndarray:
             coeff = np.asarray(coeff, dtype=np.float64)
             if coeff.shape != sizes.shape:
                 raise ValueError(f"need one coefficient per device ({sizes.size}), got shape {coeff.shape}")
-            grad = _row_grads(spec, w, X, y, np.repeat(coeff / sizes, sizes), margins)
+            c = np.repeat(coeff / sizes, sizes)
+            grad = _row_grads(spec, w, X, y, c, _grad_factor(spec, y, c), margins)
             return grad + float(coeff.sum()) * spec.l2_reg * w
 
         return values, weighted_grad
@@ -229,40 +249,42 @@ def _packed_point(spec: LossSpec, packed):
     return point
 
 
-def _local_sgd(spec: LossSpec, w: np.ndarray, packed, order, counts, lr: float, batch_size: int) -> np.ndarray:
-    """Mini-batch SGD on every device of a population at once, all starting from w.
+def _local_sgd(spec: LossSpec, w: np.ndarray, X, y, order, counts, lr: float, batch_size: int) -> np.ndarray:
+    """Mini-batch SGD on every device of packed rows X, y at once, all starting from w.
 
-    ``order`` holds the packed rows to visit, grouped by device in device
-    order, ``counts[k]`` of them device k's. Device k walks its rows in
-    consecutive batches of batch_size and takes one step of size lr on each
-    batch's mean loss; a partial last batch averages over its rows. Devices
-    run in lockstep: batches are padded to batch_size and step counts to the
-    longest device's, and padded rows and steps are masked, so a device stops
-    once its own rows are spent. Returns one row of final parameters per
-    device with visits, in device order. The caller checks w and draws the orders.
+    ``order`` holds the rows to visit, grouped by device in device order,
+    ``counts[k]`` of them device k's. Device k walks its rows in consecutive
+    batches of batch_size and takes one step of size lr on each batch's mean
+    loss; a partial last batch averages over its rows. Devices run in
+    lockstep: batches are padded to batch_size and step counts to the longest
+    device's, and padded rows and steps are masked, so a device stops once
+    its own rows are spent. Returns one row of final parameters per device
+    with visits, in device order. The caller checks w, converts the labels
+    y with _labels_for and draws the orders.
     """
-    active = np.flatnonzero(counts)
+    active = counts.nonzero()[0]
     steps = -(-counts[active] // batch_size)
     # Longest walks first, so the devices still walking at step s are a prefix.
-    by_steps = np.argsort(-steps, kind="stable")
+    by_steps = (-steps).argsort(kind="stable")
     dev = active[by_steps]
-    n, start = counts[dev], (np.cumsum(counts) - counts)[dev]
+    n, start = counts[dev], (counts.cumsum() - counts)[dev]
     num_steps = int(steps.max(initial=0))
     # Step-major table: slot (s, j, b) holds the (s * batch_size + b)-th row
-    # walking device j visits, weighted 1/m in its batch of m rows. Padding
-    # points at packed row 0 and weighs 0; "clip" keeps its index in range.
+    # walking device j visits, weighted 1/m in its batch of m rows, and the
+    # gradient factor of that weight. Padding points at row 0 and weighs 0;
+    # "clip" keeps its index in range.
     pos = np.arange(num_steps * batch_size).reshape(num_steps, 1, batch_size)
     filled = pos < n[:, None]
     rows = np.where(filled, order.take(start[:, None] + pos, mode="clip"), 0)
     left = n[:, None] - pos[..., :1]  # visits each device has left at step s
     coeff = filled / np.maximum(np.minimum(left, batch_size), 1)
-    X = np.take(packed.features, rows, axis=0)
-    y = np.take(_labels_for(spec, packed.labels), rows)
+    X, y = X.take(rows, axis=0), y.take(rows)
+    factor = _grad_factor(spec, y, coeff)
     walking = filled[:, :, 0].sum(axis=1).tolist()
-    W = np.tile(w, (n.size, 1))
+    W = np.full((n.size, w.size), w)
     for s, a in enumerate(walking):
-        grad = _row_grads(spec, W[:a], X[s, :a], y[s, :a], coeff[s, :a])
-        W[:a] -= lr * (grad + spec.l2_reg * W[:a])
+        Wa = W[:a]
+        Wa -= lr * (_row_grads(spec, Wa, X[s, :a], y[s, :a], coeff[s, :a], factor[s, :a]) + spec.l2_reg * Wa)
     out = np.empty_like(W)
     out[by_steps] = W
     return out

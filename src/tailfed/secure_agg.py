@@ -68,8 +68,8 @@ def _weighted_mean(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # matrix it trained. A running sum from zero, row by row in order, as a
     # loop adds them: .sum(axis=0) adds a single column pairwise, which
     # changes the last bits of the result.
-    rows = np.vstack([np.zeros(vectors.shape[1]), weights[:, None] * vectors])
-    return np.cumsum(rows, axis=0)[-1] / weights.sum()
+    rows = np.concatenate([np.zeros((1, vectors.shape[1])), weights[:, None] * vectors])
+    return rows.cumsum(axis=0)[-1] / weights.sum()
 
 
 def masked_weighted_sum(

@@ -90,12 +90,12 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     themselves; each run of equal values (-0.0 and 0.0 are equal) is then put
     back in original index order by sorting the keys run * n + index.
     """
-    order = np.argsort(values)
+    order = values.argsort()
     s = values[order]
     tied = s[1:] == s[:-1]
     if not tied.any():
         return order
-    run = np.concatenate(([0], np.cumsum(~tied)))
+    run = np.concatenate(([0], (~tied).cumsum()))
     n = order.size
     return np.sort(run * n + order) % n
 
@@ -107,7 +107,7 @@ def _sorted_profile(wv: WeightedValues) -> tuple[np.ndarray, np.ndarray, np.ndar
     if wv._sorted is None:
         order = _stable_order(wv.values)
         x, a = wv.values[order], wv.weights[order]
-        mass = np.concatenate(([0.0], np.cumsum(a)))
+        mass = np.concatenate(([0.0], a.cumsum()))
         for arr in (x, a, mass):
             arr.setflags(write=False)
         wv._sorted = (x, a, mass)
@@ -116,7 +116,7 @@ def _sorted_profile(wv: WeightedValues) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _quantile_index(mass: np.ndarray, theta: float) -> int:
     # EPS slack absorbs cumulative-sum dust at exact-tie boundaries.
-    j = int(np.searchsorted(mass[1:], (1.0 - theta) - EPS, side="left"))
+    j = int(mass[1:].searchsorted((1.0 - theta) - EPS, side="left"))
     return min(j, mass.size - 2)
 
 

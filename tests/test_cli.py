@@ -119,6 +119,26 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert "valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["huge-int", "not-utf8", "directory"])
+def test_undecodable_config_files_are_config_errors_at_validate_and_run(tmp_path, capsys, content):
+    # open and json.load raise these as OSError or a plain ValueError, not JSONDecodeError.
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    if content == "huge-int":
+        text = json.dumps(tiny_config(out))
+        assert '"num_rounds": 2' in text
+        path.write_text(text.replace('"num_rounds": 2', '"num_rounds": ' + "9" * 5000), encoding="utf-8")
+    elif content == "not-utf8":
+        path.write_bytes(b"\xff")
+    else:
+        path.mkdir()
+    for argv in (["validate", "--config", str(path)], ["run", "--config", str(path), "--output-dir", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+    assert not out.exists()
+
+
 def test_parse_coerces_numeric_lists():
     cfg = parse_experiment_config(tiny_config("/tmp/x", thetas=[1], seeds=[0, 1]))
     assert cfg.thetas == [1.0] and all(isinstance(t, float) for t in cfg.thetas)
@@ -347,6 +367,25 @@ def test_eval_every_controls_snapshot_rows(tmp_path):
     assert main(["run", "--config", path2]) == 0
     _, rows2 = read_csv_rows(out2 / "runs" / "1.0" / "0" / "metrics.csv")
     assert [int(r["round"]) for r in rows2] == [2]
+
+
+def test_final_snapshot_metrics_are_computed_once(tmp_path, monkeypatch):
+    # Snapshots at rounds 1 and 3 of 4: the second holds the final metrics.
+    calls = []
+    original = cli._final_metrics
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_final_metrics", counted)
+    out = tmp_path / "out"
+    cfg = tiny_config(out, thetas=[0.5], eval_every=2)
+    cfg["federation"]["num_rounds"] = 4
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(calls) == 2
+    _, rows = read_csv_rows(out / "runs" / "0.5" / "0" / "metrics.csv")
+    assert [int(r["round"]) for r in rows] == [1, 3]
 
 
 def test_split_adds_held_out_error_columns(tmp_path):

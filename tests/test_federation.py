@@ -150,12 +150,12 @@ def test_survivor_order_does_not_depend_on_who_else_survived(monkeypatch, local_
     captured = []
     kernel = models._local_sgd  # the round trains through the unchecked core
 
-    def capture(spec, w, packed, order, counts, lr, batch_size):
-        # Each device's visits (rows of the sample's packed view), keyed by its
-        # slot in the sample; a filtered device has none.
+    def capture(spec, w, X, y, order, counts, lr, batch_size):
+        # Each device's visits (rows of the sample's gathered rows), keyed by
+        # its slot in the sample; a filtered device has none.
         ends = np.cumsum(counts)
         captured.append({k: order[e - c : e] for k, (c, e) in enumerate(zip(counts, ends)) if c})
-        return kernel(spec, w, packed, order, counts, lr, batch_size)
+        return kernel(spec, w, X, y, order, counts, lr, batch_size)
 
     monkeypatch.setattr(models, "_local_sgd", capture)
     _, fresh = deltafl_round(pop, w, cfg, t=4)

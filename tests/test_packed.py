@@ -15,10 +15,12 @@ from tailfed import (
     FederationConfig,
     LossSpec,
     Population,
+    WeightedValues,
     deltafl_round,
     lr_schedule,
     models,
     population_objectives,
+    superquantile,
 )
 from tailfed.data import stream
 from tailfed.federation import _visiting_orders, local_update
@@ -119,7 +121,8 @@ def test_point_evaluation_equals_the_separate_value_and_gradient_passes(case):
         rng.uniform(0.0, 2.0, size=n),
     ):
         row_coeff = np.repeat(coeff / pop.sizes, pop.sizes)
-        separate = models._row_grads(spec, w, pop.features, y, row_coeff) + float(coeff.sum()) * spec.l2_reg * w
+        factor = models._grad_factor(spec, y, row_coeff)
+        separate = models._row_grads(spec, w, pop.features, y, row_coeff, factor) + float(coeff.sum()) * spec.l2_reg * w
         assert np.array_equal(weighted_grad(coeff), separate)
 
 
@@ -153,7 +156,8 @@ def test_local_sgd_matches_per_device_loop(case, batch_size, epoch, lr):
     # A device with no visits, as a round gives a filtered device, has no row.
     idle = rng.random(len(pop)) < 0.3
     orders = [o[:0] if skip else o for o, skip in zip(orders, idle)]
-    got = models._local_sgd(spec, w, pop, *map(np.asarray, flat_order(pop, orders)), lr, batch_size)
+    y = models._labels_for(spec, pop.labels)
+    got = models._local_sgd(spec, w, pop.features, y, *map(np.asarray, flat_order(pop, orders)), lr, batch_size)
     assert got.shape == (int((~idle).sum()), w.size)
     for row, k in zip(got, np.flatnonzero(~idle)):
         assert_close(row, sgd_reference(spec, w, pop.shards[k], orders[k], lr, batch_size))
@@ -166,7 +170,7 @@ def test_local_update_matches_the_per_device_loop(case, batch_size, epoch, n_loc
     spec, pop, w, _ = case
     cfg = FederationConfig(loss=spec, batch_size=batch_size, local_epoch=epoch, n_local=n_local)
     for shard in pop.shards:
-        order, _ = _visiting_orders(cfg, shard, np.random.default_rng(seed))
+        order, _ = _visiting_orders(cfg, shard.sizes, shard.offsets, np.random.default_rng(seed))
         got = local_update(shard, w, 0.2, cfg, np.random.default_rng(seed))
         assert_close(got, sgd_reference(spec, w, shard, order, 0.2, batch_size if epoch else 1))
 
@@ -187,6 +191,36 @@ def test_local_update_matches_the_round_path(case, batch_size, epoch, n_local, s
         rng = stream(seed, 2, t)
         rng.integers(0, 1, size=cfg.devices_per_round)
         assert_close(got, local_update(shard, w, lr_schedule(cfg, t), cfg, rng))
+
+
+@SETTINGS
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from([1, 3, 8, 10]),
+    st.integers(1, 40),
+    st.sampled_from([0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_round_losses_are_the_packed_losses_of_the_selected_sample(kind, p, num_devices, theta, seed):
+    # The round gathers its sample's rows itself. Its reported and post-round
+    # losses must equal packed_losses on pop.select of the sample, to the
+    # byte: a loss pass over the whole population, indexed afterwards, can
+    # differ in the last bits, since where a row sits changes BLAS blocking.
+    rng = np.random.default_rng(seed)
+    spec = LossSpec(kind, l2_reg=1e-3, num_classes=3)
+    sizes = rng.integers(1, 30, size=num_devices)
+    n = int(sizes.sum())
+    labels = {"squared_distance": np.zeros(n), "binary_logistic": rng.choice([-1, 1], size=n)}
+    y = labels.get(kind, rng.integers(0, 3, size=n))
+    pop = Population(rng.normal(size=(n, p)), y, sizes, [f"d{k}" for k in range(num_devices)], sizes)
+    w = rng.normal(size=spec.param_dim(p)) * 0.3
+    cfg = FederationConfig(theta=theta, devices_per_round=int(rng.integers(1, 2 * num_devices)), seed=seed, loss=spec)
+    w_next, log = deltafl_round(pop, w, cfg, t=3)
+    idx = [pop.device_ids.index(d) for d in log.sampled_ids]
+    sample_weights = pop.weights[idx] / pop.weights[idx].sum()
+    for at, objective in ((w, log.pre_objective), (w_next, log.post_objective)):
+        losses = models.packed_losses(spec, at, pop.select(idx))
+        assert objective == superquantile(WeightedValues(losses, sample_weights), theta)
 
 
 @SETTINGS
@@ -240,7 +274,7 @@ def test_epoch_visiting_orders_are_the_stable_argsort(case):
     keys = np.array(keys)
     n = sum(sizes)
     packed = Population(np.zeros((n, 1)), np.zeros(n), sizes, [f"d{k}" for k in range(len(sizes))], np.ones(len(sizes)))
-    order, counts = _visiting_orders(FederationConfig(), packed, _Keys(keys))
+    order, counts = _visiting_orders(FederationConfig(), packed.sizes, packed.offsets, _Keys(keys))
     device = np.repeat(np.arange(len(sizes)), sizes)
     assert np.array_equal(order, np.argsort(device + keys, kind="stable"))
     assert np.array_equal(counts, sizes)
@@ -256,7 +290,7 @@ def test_padded_steps_leave_a_finished_device_alone():
     short, long = packed.shards
     w = np.array([0.3, -0.4])
     order, counts = flat_order(packed, [np.array([0]), np.arange(12)])
-    got = models._local_sgd(spec, w, packed, order, np.array(counts), 0.5, 4)
+    got = models._local_sgd(spec, w, X, models._labels_for(spec, y), order, np.array(counts), 0.5, 4)
     assert np.array_equal(got[0], w - 0.5 * batch_grad_reference(spec, w, short.features, short.labels))
     assert_close(got[1], sgd_reference(spec, w, long, np.arange(12), 0.5, 4))
 
@@ -271,12 +305,18 @@ def test_kernels_reject_out_of_range_inputs():
         population_objectives(packed, spec)
     with pytest.raises(ValueError, match="class labels"):
         local_update(packed, w, 0.1, FederationConfig(loss=spec), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="class labels"):
+        deltafl_round(packed, w, FederationConfig(loss=spec), 0)
     ok = LossSpec("binary_logistic")
     good = Population(np.ones((2, 2)), np.array([1, -1]), [2], ("a",), [1.0])
     with pytest.raises(ValueError, match="one coefficient per device"):
         population_objectives(good, ok).point(np.zeros(2))[1]([1.0, 2.0])
-    with pytest.raises(ValueError, match=r"parameter vector must have shape \(2,\)"):
-        local_update(good, np.zeros(3), 0.1, FederationConfig(loss=ok), np.random.default_rng(0))
+    for train in (
+        lambda w: local_update(good, w, 0.1, FederationConfig(loss=ok), np.random.default_rng(0)),
+        lambda w: deltafl_round(good, w, FederationConfig(loss=ok), 0),
+    ):
+        with pytest.raises(ValueError, match=r"parameter vector must have shape \(2,\), got \(3,\)"):
+            train(np.zeros(3))
 
 
 def test_local_update_trains_one_device_only():
