@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import itertools
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,40 +53,69 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class AMSettings:
-    eps0: float = 0.01
-    exponent: float = 1.5
-    strong_convexity: float = 2.0
-    initial_step: float = 0.25
-    num_iters: int = 80
+    def __init__(
+        self,
+        eps0: float = 0.01,
+        exponent: float = 1.5,
+        strong_convexity: float = 2.0,
+        initial_step: float = 0.25,
+        num_iters: int = 80,
+    ) -> None:
+        self.eps0 = eps0
+        self.exponent = exponent
+        self.strong_convexity = strong_convexity
+        self.initial_step = initial_step
+        self.num_iters = num_iters
 
 
-# Fields in the order of the config file and of validate's echo.
-@dataclass(kw_only=True)
 class ExperimentConfig:
-    schema_version: int = SCHEMA_VERSION
-    algorithm: str
-    output_dir: str
-    thetas: list[float]
-    seeds: list[int]
-    eval_every: int = 0
-    split_fraction: float | None = None
-    split_seed: int = 0
-    data: dict
-    loss: LossSpec
-    federation: dict = field(default_factory=dict)
-    am: AMSettings = field(default_factory=AMSettings)
+    # Parameters in the order of the config file and of validate's echo. A
+    # federation or am left out is a fresh empty dict or default AMSettings.
+    def __init__(
+        self,
+        *,
+        schema_version: int = SCHEMA_VERSION,
+        algorithm: str,
+        output_dir: str,
+        thetas: list[float],
+        seeds: list[int],
+        eval_every: int = 0,
+        split_fraction: float | None = None,
+        split_seed: int = 0,
+        data: dict,
+        loss: LossSpec,
+        federation: dict = None,
+        am: AMSettings = None,
+    ) -> None:
+        self.schema_version = schema_version
+        self.algorithm = algorithm
+        self.output_dir = output_dir
+        self.thetas = thetas
+        self.seeds = seeds
+        self.eval_every = eval_every
+        self.split_fraction = split_fraction
+        self.split_seed = split_seed
+        self.data = data
+        self.loss = loss
+        self.federation = {} if federation is None else federation
+        self.am = AMSettings() if am is None else am
 
     def normalized(self) -> dict:
-        return asdict(self)
+        # Every field in order, with loss and am as objects of their fields.
+        fields = {name: getattr(self, name) for name in _ROOT[0]}
+        return fields | {"loss": _fields(self.loss, _LOSS), "am": _fields(self.am, _AM)}
 
 
 # Config sections as (field -> JSON type, required fields). The root, loss, federation and
-# am take theirs from the dataclass they fill (a field without a default is required).
+# am take theirs from the constructor they fill (a parameter without a default is required).
 def _section(cls, *drop: str) -> tuple[dict, tuple]:
-    fs = [f for f in fields(cls) if f.name not in drop]
-    return {f.name: f.type for f in fs}, tuple(f.name for f in fs if f.default is f.default_factory is MISSING)
+    ps = [p for p in inspect.signature(cls).parameters.values() if p.name not in drop]
+    return {p.name: p.annotation for p in ps}, tuple(p.name for p in ps if p.default is p.empty)
+
+
+def _fields(obj, section: tuple[dict, tuple]) -> dict:
+    return {name: getattr(obj, name) for name in section[0]}
 
 
 _ROOT, _LOSS, _AM = _section(ExperimentConfig), _section(LossSpec), _section(AMSettings)
@@ -108,7 +137,7 @@ _DATA_FORMS = {
 }
 # What each annotation admits: (the types of the parsed JSON value, those of a
 # list's entries). A float takes an int; no number takes a bool (compared with
-# type(), since True is an int). A section annotated with its dataclass is an object.
+# type(), since True is an int). A section annotated with its class is an object.
 _NUMBER = (int, float)
 _JSON_TYPES = {
     "int": ((int,), None),
@@ -289,10 +318,13 @@ def _split(pop: Population, fraction: float, seed: int) -> tuple[Population, Pop
 
 
 def _final_metrics(
-    cfg: ExperimentConfig, params: np.ndarray, train: Population, test: Population | None
+    cfg: ExperimentConfig, params: np.ndarray, train: Population, test: Population | None, losses=None
 ) -> dict[str, float]:
+    # losses: the training devices' losses at params, if the caller has them.
     out: dict[str, float] = {}
-    table = metrics_mod.table_from_population(train, "train_loss", models.packed_losses(cfg.loss, params, train))
+    if losses is None:
+        losses = models.packed_losses(cfg.loss, params, train)
+    table = metrics_mod.table_from_population(train, "train_loss", losses)
     for key, val in metrics_mod.summarize(table).items():
         out[f"train_loss_{key}"] = val
     if test is not None and cfg.loss.kind != "squared_distance":
@@ -331,7 +363,8 @@ def _run_cell(
             w0 = models.init_params(cfg.loss, train.feature_dim)
             steps = _schedule_and_solver(cfg.am)
             result = am_meta(objectives, theta, fed.nu, *steps, cfg.am.num_iters, w0, on_iterate=write_iterate)
-            final = _final_metrics(cfg, result.params, train, test)
+            # The last iterate's record evaluated the training losses at its params.
+            final = _final_metrics(cfg, result.params, train, test, result.iterates[-1].values)
             final["grad_norm"] = result.iterates[-1].grad_norm
             return final
 

@@ -20,7 +20,6 @@ import os
 import stat
 import warnings
 import zlib
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from .superquantile import EPS
 
 
-@dataclass(frozen=True, eq=False)
 class Population:
     """Every device's rows, packed, with the devices' ids and sampling weights.
 
@@ -36,7 +34,7 @@ class Population:
     order, so a per-row result reduces to per-device values with
     ``np.add.reduceat(rows, offsets)``. The arrays are read-only views of
     those given (after any dtype conversion), so construction copies no rows;
-    the weights are normalized to sum to 1.
+    the weights are normalized to sum to 1. No attribute can be set.
     """
 
     features: np.ndarray  # (N, p)
@@ -44,14 +42,14 @@ class Population:
     sizes: np.ndarray  # (K,) int64
     device_ids: tuple[str, ...]
     weights: np.ndarray  # (K,)
-    offsets: np.ndarray = field(init=False)  # (K,) each device's first row, from the sizes
+    offsets: np.ndarray  # (K,) each device's first row, from the sizes
 
-    def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        sizes = np.asarray(self.sizes)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        ids = tuple(self.device_ids)
+    def __init__(self, features, labels, sizes, device_ids, weights) -> None:
+        features = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels)
+        sizes = np.asarray(sizes)
+        weights = np.asarray(weights, dtype=np.float64)
+        ids = tuple(device_ids)
         if sizes.ndim != 1 or sizes.size == 0:
             raise ValueError("population needs at least one device")
         if features.ndim != 2 or features.shape[1] == 0 or labels.shape != features.shape[:1]:
@@ -72,6 +70,9 @@ class Population:
             view.setflags(write=False)
             object.__setattr__(self, name, view)
         object.__setattr__(self, "device_ids", ids)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Population is read-only")
 
     def __len__(self) -> int:
         return int(self.sizes.size)

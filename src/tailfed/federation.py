@@ -14,7 +14,6 @@ step whose suboptimality is driven below a summable tolerance sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Callable
 
@@ -44,25 +43,40 @@ AGGREGATION_MODES = ("plain", "masked")
 ETA_PROTOCOLS = ("server_direct", "secure_mm")
 
 
-@dataclass
 class FederationConfig:
-    theta: float = 1.0
-    nu: float = 1e-3
-    devices_per_round: int = 10
-    n_local: int = 1
-    local_epoch: bool = True  # one shuffled pass of mini-batch SGD instead of n_local point steps
-    batch_size: int = 10
-    lr0: float = 0.1
-    lr_decay: float = 1.0
-    lr_decay_every: int = 1
-    num_rounds: int = 100
-    eta_period: int = 1
-    seed: int = 0
-    loss: LossSpec = field(default_factory=lambda: LossSpec("binary_logistic"))
-    aggregation: str = "plain"
-    eta_protocol: str = "server_direct"
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        theta: float = 1.0,
+        nu: float = 1e-3,
+        devices_per_round: int = 10,
+        n_local: int = 1,
+        local_epoch: bool = True,  # one shuffled pass of mini-batch SGD instead of n_local point steps
+        batch_size: int = 10,
+        lr0: float = 0.1,
+        lr_decay: float = 1.0,
+        lr_decay_every: int = 1,
+        num_rounds: int = 100,
+        eta_period: int = 1,
+        seed: int = 0,
+        loss: LossSpec | None = None,  # binary_logistic, a fresh one per config
+        aggregation: str = "plain",
+        eta_protocol: str = "server_direct",
+    ) -> None:
+        self.theta = theta
+        self.nu = nu
+        self.devices_per_round = devices_per_round
+        self.n_local = n_local
+        self.local_epoch = local_epoch
+        self.batch_size = batch_size
+        self.lr0 = lr0
+        self.lr_decay = lr_decay
+        self.lr_decay_every = lr_decay_every
+        self.num_rounds = num_rounds
+        self.eta_period = eta_period
+        self.seed = seed
+        self.loss = LossSpec("binary_logistic") if loss is None else loss
+        self.aggregation = aggregation
+        self.eta_protocol = eta_protocol
         check_conformity(self.theta)
         check_smoothing(self.nu)
         if self.devices_per_round < 1:
@@ -87,15 +101,24 @@ class FederationConfig:
             raise ValueError(f"eta_protocol must be one of {ETA_PROTOCOLS}")
 
 
-@dataclass
 class RoundLog:
-    round_index: int
-    sampled_ids: list[str]
-    eta: float | None
-    filtered_ids: list[str]
-    pre_objective: float
-    post_objective: float
-    update_norm: float
+    def __init__(
+        self,
+        round_index: int,
+        sampled_ids: list[str],
+        eta: float | None,
+        filtered_ids: list[str],
+        pre_objective: float,
+        post_objective: float,
+        update_norm: float,
+    ) -> None:
+        self.round_index = round_index
+        self.sampled_ids = sampled_ids
+        self.eta = eta
+        self.filtered_ids = filtered_ids
+        self.pre_objective = pre_objective
+        self.post_objective = post_objective
+        self.update_norm = update_norm
 
     def to_dict(self) -> dict:
         return {
@@ -109,17 +132,17 @@ class RoundLog:
         }
 
 
-@dataclass
 class EvalSnapshot:
-    round_index: int
-    params: np.ndarray
+    def __init__(self, round_index: int, params: np.ndarray) -> None:
+        self.round_index = round_index
+        self.params = params
 
 
-@dataclass
 class FederatedRun:
-    params: np.ndarray
-    rounds: list[RoundLog]
-    snapshots: list[EvalSnapshot]
+    def __init__(self, params: np.ndarray, rounds: list[RoundLog], snapshots: list[EvalSnapshot]) -> None:
+        self.params = params
+        self.rounds = rounds
+        self.snapshots = snapshots
 
 
 def lr_schedule(cfg: FederationConfig, t: int) -> float:
@@ -295,7 +318,7 @@ def run_federated(
     if algorithm not in ("deltafl", "fedavg"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "fedavg":
-        cfg = replace(cfg, theta=1.0)
+        cfg = FederationConfig(**vars(cfg) | {"theta": 1.0})  # a checked copy: its attributes are its fields
     w = (
         np.array(w0, dtype=np.float64)
         if w0 is not None
@@ -321,7 +344,6 @@ def run_federated(
 # Alternating minimization on full-batch device objectives.
 
 
-@dataclass(frozen=True, eq=False)
 class PopulationObjective:
     """Full-batch objectives F_k of every device, evaluated together.
 
@@ -329,11 +351,19 @@ class PopulationObjective:
     in device order and a function coeff -> sum_k coeff[k] * grad F_k(w)
     that reads what the value pass computed (for the logistic losses, the
     margins), so a value and any number of weighted gradients at one w cost
-    one pass over the population.
+    one pass over the population. Read-only once built.
     """
 
-    point: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
-    weights: np.ndarray
+    def __init__(
+        self,
+        point: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]],
+        weights: np.ndarray,
+    ) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: PopulationObjective is read-only")
 
 
 def population_objectives(pop: Population, spec: LossSpec) -> PopulationObjective:
@@ -360,29 +390,30 @@ def quadratic_objectives(centers, offsets=None, weights=None) -> PopulationObjec
     return PopulationObjective(point=point, weights=weights)
 
 
-@dataclass(frozen=True)
 class PowerLawSchedule:
     """Inexactness budgets eps_t = eps0 * (t + 1) ** (-exponent), exponent > 1.
 
     The exponent restriction keeps the series summable (by integral
     comparison its total is at most eps0 * (1 + 1/(exponent - 1))), which is
     what the convergence guarantee of the alternating scheme needs.
+    Read-only once built.
     """
 
-    eps0: float
-    exponent: float = 1.5
+    def __init__(self, eps0: float, exponent: float = 1.5) -> None:
+        if not (0.0 < eps0 < math.inf):
+            raise ValueError(f"eps0 must be positive and finite, got {eps0!r}")
+        if not (1.0 < exponent < math.inf):
+            raise ValueError(f"exponent must be finite and exceed 1 for a summable budget, got {exponent!r}")
+        object.__setattr__(self, "eps0", eps0)
+        object.__setattr__(self, "exponent", exponent)
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps0 < math.inf):
-            raise ValueError(f"eps0 must be positive and finite, got {self.eps0!r}")
-        if not (1.0 < self.exponent < math.inf):
-            raise ValueError(f"exponent must be finite and exceed 1 for a summable budget, got {self.exponent!r}")
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: PowerLawSchedule is read-only")
 
     def __call__(self, t: int) -> float:
         return self.eps0 * (t + 1) ** (-self.exponent)
 
 
-@dataclass
 class CertifiedGradientDescent:
     """Parameter-step solver: monotone gradient descent with a stopping certificate.
 
@@ -392,12 +423,13 @@ class CertifiedGradientDescent:
     returned point typically lands well inside the requested suboptimality.
     """
 
-    strong_convexity: float = 1.0
-    initial_step: float = 0.25
-    margin: float = 1e-3
-    max_iters: int = 200_000
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, strong_convexity: float = 1.0, initial_step: float = 0.25, margin: float = 1e-3, max_iters: int = 200_000
+    ) -> None:
+        self.strong_convexity = strong_convexity
+        self.initial_step = initial_step
+        self.margin = margin
+        self.max_iters = max_iters
         for name in ("strong_convexity", "initial_step", "margin", "max_iters"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
@@ -435,14 +467,25 @@ class CertifiedGradientDescent:
         )
 
 
-@dataclass
 class AMIterate:
-    params: np.ndarray
-    eta: float
-    grad_norm: float
-    eta_slope: float
-    smoothed_value: float
-    nonsmooth_value: float
+    # values: every device's objective value at params, in device order.
+    def __init__(
+        self,
+        params: np.ndarray,
+        eta: float,
+        grad_norm: float,
+        eta_slope: float,
+        smoothed_value: float,
+        nonsmooth_value: float,
+        values: np.ndarray,
+    ) -> None:
+        self.params = params
+        self.eta = eta
+        self.grad_norm = grad_norm
+        self.eta_slope = eta_slope
+        self.smoothed_value = smoothed_value
+        self.nonsmooth_value = nonsmooth_value
+        self.values = values
 
     def to_dict(self) -> dict:
         return {
@@ -454,9 +497,9 @@ class AMIterate:
         }
 
 
-@dataclass
 class AMResult:
-    iterates: list[AMIterate]
+    def __init__(self, iterates: list[AMIterate]) -> None:
+        self.iterates = iterates
 
     @property
     def params(self) -> np.ndarray:
@@ -548,6 +591,7 @@ def am_meta(
                 eta_slope=slope,
                 smoothed_value=value,
                 nonsmooth_value=plus_objective(wv, theta, eta),
+                values=wv.values,
             )
         )
         if on_iterate is not None:

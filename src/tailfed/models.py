@@ -25,26 +25,27 @@ references live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LOSS_KINDS = ("squared_distance", "binary_logistic", "multinomial_logistic")
 
 
-@dataclass(frozen=True)
 class LossSpec:
-    kind: str
-    l2_reg: float = 0.0
-    num_classes: int = 2
+    """A loss family, its ridge weight and (multinomial) class count; read-only once built."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
-        if not (0.0 <= self.l2_reg < np.inf):
-            raise ValueError(f"l2_reg must be finite and nonnegative, got {self.l2_reg!r}")
-        if self.kind == "multinomial_logistic" and self.num_classes < 2:
+    def __init__(self, kind: str, l2_reg: float = 0.0, num_classes: int = 2) -> None:
+        if kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
+        if not (0.0 <= l2_reg < np.inf):
+            raise ValueError(f"l2_reg must be finite and nonnegative, got {l2_reg!r}")
+        if kind == "multinomial_logistic" and num_classes < 2:
             raise ValueError("multinomial_logistic needs num_classes >= 2")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "l2_reg", l2_reg)
+        object.__setattr__(self, "num_classes", num_classes)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: LossSpec is read-only")
 
     def param_dim(self, feature_dim: int) -> int:
         if self.kind == "multinomial_logistic":

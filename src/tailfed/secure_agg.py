@@ -14,7 +14,6 @@ is one secure-aggregation round trip and composes with masking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,12 +30,12 @@ MM_CLIP = 1e-12
 MASK_SCALE = 1e3
 
 
-@dataclass
 class AggregationTranscript:
     """The (n, dim+1) payloads the server summed, one row per client, and any flags."""
 
-    payloads: np.ndarray
-    flags: list[str] = field(default_factory=list)
+    def __init__(self, payloads: np.ndarray, flags: list[str] | None = None) -> None:
+        self.payloads = payloads
+        self.flags = [] if flags is None else flags
 
 
 def _check_contributions(contributions: Sequence[Contribution]) -> tuple[np.ndarray, np.ndarray]:
@@ -116,20 +115,19 @@ def audit_transcript(
     return {"min_relative_distance": min_rel, "leaked": bool(leaked), "flags": list(transcript.flags)}
 
 
-@dataclass(frozen=True)
 class PinballSpec:
-    """A weighted sample plus the quantile level tau in (0, 1)."""
+    """A weighted sample plus the quantile level tau in (0, 1); read-only once built."""
 
-    values: np.ndarray
-    weights: np.ndarray
-    tau: float
-
-    def __post_init__(self) -> None:
-        wv = WeightedValues(self.values, self.weights)
+    def __init__(self, values: np.ndarray, weights: np.ndarray, tau: float) -> None:
+        wv = WeightedValues(values, weights)
+        if not (0.0 < tau < 1.0):
+            raise ValueError(f"tau must lie strictly inside (0, 1), got {tau!r}")
         object.__setattr__(self, "values", wv.values)
         object.__setattr__(self, "weights", wv.weights)
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must lie strictly inside (0, 1), got {self.tau!r}")
+        object.__setattr__(self, "tau", tau)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: PinballSpec is read-only")
 
 
 def pinball_loss(spec: PinballSpec, mu: float) -> float:
@@ -139,12 +137,12 @@ def pinball_loss(spec: PinballSpec, mu: float) -> float:
     return float(np.dot(spec.weights, per))
 
 
-@dataclass
 class MMQuantileResult:
-    value: float
-    converged: bool
-    iterations: int
-    trace: list[float]
+    def __init__(self, value: float, converged: bool, iterations: int, trace: list[float]) -> None:
+        self.value = value
+        self.converged = converged
+        self.iterations = iterations
+        self.trace = trace
 
 
 def _quantile_optimal(spec: PinballSpec, c: float) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailfed import CertifiedGradientDescent, Population, cli, gen_hetero_logistic, save_devices_jsonl
+from tailfed import CertifiedGradientDescent, Population, cli, gen_hetero_logistic, models, save_devices_jsonl
 from tailfed.cli import (
     ConfigError,
     cmd_gaussian_demo,
@@ -386,6 +386,23 @@ def test_final_snapshot_metrics_are_computed_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     _, rows = read_csv_rows(out / "runs" / "0.5" / "0" / "metrics.csv")
     assert [int(r["round"]) for r in rows] == [1, 3]
+
+
+def test_am_meta_cell_makes_one_loss_pass_per_parameter_vector(tmp_path, monkeypatch):
+    # The final metrics read the losses the last iterate's record computed.
+    passes = []
+    original = models._device_losses
+
+    def counted(spec, w, *args, **kwargs):
+        passes.append(np.asarray(w).tobytes())
+        return original(spec, w, *args, **kwargs)
+
+    monkeypatch.setattr(models, "_device_losses", counted)
+    out = tmp_path / "out"
+    cfg = tiny_config(out, algorithm="am_meta", thetas=[0.5])
+    cfg["am"] = {"num_iters": 3}
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(passes) == len(set(passes)) >= 4  # the start point and 3 iterates at least
 
 
 def test_split_adds_held_out_error_columns(tmp_path):

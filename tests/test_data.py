@@ -194,13 +194,13 @@ def test_generators_parser_and_writer_build_no_shards_and_one_population(tmp_pat
     # A device's view is a population too, so one construction per call
     # also means that no view was built.
     built = []
-    init = Population.__post_init__
+    init = Population.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Population, "__post_init__", counted)
+    monkeypatch.setattr(Population, "__init__", counted)
     pops = [gen_hetero_logistic(6, (2, 5), 3, 3, 1.0, seed=2), gen_gaussian_mixture(np.eye(3), 4, seed=1)]
     assert built == pops
     path = tmp_path / "devices.jsonl"

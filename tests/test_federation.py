@@ -251,6 +251,18 @@ def test_secure_mm_threshold_matches_direct_quantile():
     assert np.allclose(a.params, b.params, rtol=1e-12, atol=1e-12)
 
 
+def test_divergence_names_the_device_whose_loss_is_not_finite():
+    # ||x - w||^2 overflows on the third device's rows only, so its loss is the
+    # first non-finite one of the sample but not the first sampled device's.
+    X = np.ones((8, 2))
+    X[4:6] = 1e200
+    pop = Population(X, np.zeros(8), np.full(4, 2), ["a", "b", "bad", "d"], np.full(4, 0.25))
+    cfg = base_config(loss=LossSpec("squared_distance"), devices_per_round=40)
+    with pytest.raises(FloatingPointError) as info:
+        deltafl_round(pop, np.zeros(2), cfg, 3)
+    assert str(info.value) == "round 3 diverged: device 'bad' has a non-finite reported loss (inf)"
+
+
 # ---------------------------------------------------------------------------
 # full runs
 

@@ -76,6 +76,7 @@ def counting(objectives, counts: Counter):
             counts["grads"] += 1
             return objectives.weighted_grad(w, coeff)
 
+        # Such a tree's objective is a dataclass.
         return dataclasses.replace(objectives, values=values, weighted_grad=weighted_grad)
 
     def point(w):
@@ -88,7 +89,7 @@ def counting(objectives, counts: Counter):
 
         return values, counted
 
-    return dataclasses.replace(objectives, point=point)
+    return tailfed.PopulationObjective(point=point, weights=objectives.weights)
 
 
 def main(argv: list[str] | None = None) -> int:

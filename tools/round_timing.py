@@ -32,7 +32,6 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import tailfed
@@ -60,10 +59,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"tailfed from {Path(tailfed.__file__).parent}", file=sys.stderr)
     pop = tailfed.gen_hetero_logistic(**POPULATION, seed=sub_seed(args.seed, 0))
     train, _ = tailfed.split_devices(pop, 0.5, args.seed)
-    cfg = tailfed.FederationConfig(
-        theta=THETA, num_rounds=FL_PLAIN_ROUNDS, seed=args.seed, loss=tailfed.LossSpec(**LOSS), **FEDERATION
+    loss = tailfed.LossSpec(**LOSS)
+    cfg = tailfed.FederationConfig(theta=THETA, num_rounds=FL_PLAIN_ROUNDS, seed=args.seed, loss=loss, **FEDERATION)
+    masked = tailfed.FederationConfig(
+        theta=THETA, num_rounds=FL_MASKED_ROUNDS, seed=args.seed, loss=loss, aggregation="masked", **FEDERATION
     )
-    masked = replace(cfg, num_rounds=FL_MASKED_ROUNDS, aggregation="masked")
 
     def fl_plain() -> None:
         for algorithm in ("fedavg", "deltafl"):
