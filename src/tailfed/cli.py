@@ -267,25 +267,16 @@ def _distinct(values: list, where: str) -> list:
 
 
 def _check_labels(loss: LossSpec, labels: np.ndarray, offsets, source) -> None:
-    # What each loss reads: binary_logistic -1/+1, multinomial_logistic class
-    # indices 0..num_classes-1, squared_distance any labels. Group k of rows
+    # The loss's label rule (models._label_fault) on rows whose group k
     # starts at offsets[k] and is named source(k). (Plain Python sets:
     # np.unique would import numpy.ma, about 1 MB, on every run.)
-    if loss.kind == "binary_logistic":
-        rules = [("kind binary_logistic needs labels -1/+1", (labels != -1) & (labels != 1))]
-    elif loss.kind == "multinomial_logistic":
-        rules = [
-            ("kind multinomial_logistic needs class labels 0..C-1", (labels < 0) | (labels != np.floor(labels))),
-            (f"num_classes {loss.num_classes} needs class labels below it", labels >= loss.num_classes),
-        ]
-    else:
-        return
-    for need, bad in rules:
-        if bad.any():
-            k = int(np.searchsorted(offsets, bad.argmax(), side="right")) - 1
-            vals = sorted(set(np.split(labels, offsets[1:])[k].tolist()))
-            shown = "/".join(f"{v:g}" for v in vals[:5]) + ("/..." if len(vals) > 5 else "")
-            raise ConfigError(f"config.loss.{need}, but {source(k)} has labels {shown}")
+    fault = models._label_fault(loss, labels)
+    if fault is not None:
+        need, bad = fault
+        k = int(np.searchsorted(offsets, bad.argmax(), side="right")) - 1
+        vals = sorted(set(np.split(labels, offsets[1:])[k].tolist()))
+        shown = "/".join(f"{v:g}" for v in vals[:5]) + ("/..." if len(vals) > 5 else "")
+        raise ConfigError(f"config.loss.{need}, but {source(k)} has labels {shown}")
 
 
 def _federation_config(cfg: ExperimentConfig, theta: float, seed: int) -> FederationConfig:
@@ -405,14 +396,17 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out_root = Path(cfg.output_dir)
     summary: dict = {"algorithm": cfg.algorithm, "seeds": cfg.seeds, "runs": {}}
     # Keyed by the data seed, the generator's or the cell's (a device file is one
-    # population); holding only the last cell's, memory does not grow with the seeds.
+    # population); holding only the last seed's, memory does not grow with the seeds.
     populations = functools.lru_cache(maxsize=1)(functools.partial(_build_population, cfg))
-    for theta in cfg.thetas:
-        per_seed: list[dict[str, float]] = []
-        for seed in cfg.seeds:
-            train, test = populations(None if "device_file" in cfg.data else cfg.data.get("seed", seed))
+    # Seed by seed, so each population is built once; a sweep that dies keeps
+    # every theta of the seeds it finished.
+    finals: dict[float, list[dict[str, float]]] = {theta: [] for theta in cfg.thetas}
+    for seed in cfg.seeds:
+        train, test = populations(None if "device_file" in cfg.data else cfg.data.get("seed", seed))
+        for theta in cfg.thetas:
             cell_dir = out_root / "runs" / str(theta) / str(seed)
-            per_seed.append(_run_cell(cfg, theta, seed, train, test, cell_dir))
+            finals[theta].append(_run_cell(cfg, theta, seed, train, test, cell_dir))
+    for theta, per_seed in finals.items():
         keys = list(per_seed[0].keys())
         aggregated = {}
         for key in keys:

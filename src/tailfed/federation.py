@@ -37,8 +37,6 @@ from .superquantile import (
     weighted_quantile,
 )
 
-FILTER_SLACK = 1e-12
-
 AGGREGATION_MODES = ("plain", "masked")
 ETA_PROTOCOLS = ("server_direct", "secure_mm")
 
@@ -206,19 +204,6 @@ def _finite_losses(evaluate: Callable[[], np.ndarray], ids: list[str], t: int, w
     return losses
 
 
-def _round_threshold(
-    reported: WeightedValues,
-    cfg: FederationConfig,
-    mask_seed: int | None,
-    eta_override: float | None,
-) -> float:
-    if eta_override is not None:
-        return float(eta_override)
-    if cfg.eta_protocol == "secure_mm":
-        return secure_quantile_for_round(reported.values, reported.weights, cfg.theta, mask_seed)
-    return weighted_quantile(reported, cfg.theta)
-
-
 def deltafl_round(
     pop: Population,
     w: np.ndarray,
@@ -257,8 +242,13 @@ def deltafl_round(
     reported = WeightedValues(losses, sample_weights)
 
     if cfg.theta < 1.0:
-        eta = _round_threshold(reported, cfg, mask_seed, eta_override)
-        keep = losses >= eta - FILTER_SLACK
+        if eta_override is not None:
+            eta = float(eta_override)
+        elif cfg.eta_protocol == "secure_mm":
+            eta = secure_quantile_for_round(reported.values, reported.weights, cfg.theta, mask_seed)
+        else:
+            eta = weighted_quantile(reported, cfg.theta)
+        keep = losses >= eta
         if not keep.any():
             # No device reaches the threshold. A fresh quantile is one of these
             # losses, so only protocol noise empties it; a threshold frozen from

@@ -135,17 +135,35 @@ def device_error(spec: LossSpec, w: np.ndarray, shard) -> float:
 # Packed kernels: every device of a Population in one pass.
 
 
+# The label rule, per loss: (rule, labels y, num_classes C -> the labels that
+# break it), checked in order. _labels_for enforces it on every kernel's
+# labels, and the CLI names the device that breaks it.
+_LABEL_RULES = {
+    "squared_distance": (),
+    "binary_logistic": (("kind binary_logistic needs labels -1/+1", lambda y, C: np.abs(y) != 1),),
+    "multinomial_logistic": (
+        ("kind multinomial_logistic needs class labels 0..C-1", lambda y, C: (y < 0) | (y != np.floor(y))),
+        ("num_classes {C} needs class labels below it", lambda y, C: y >= C),
+    ),
+}
+
+
+def _label_fault(spec: LossSpec, labels: np.ndarray) -> tuple[str, np.ndarray] | None:
+    # The first rule the labels break, with the mask of those that break it, or None.
+    for rule, breaks in _LABEL_RULES[spec.kind]:
+        bad = breaks(labels, spec.num_classes)
+        if bad.any():
+            return rule.format(C=spec.num_classes), bad
+    return None
+
+
 def _labels_for(spec: LossSpec, labels: np.ndarray) -> np.ndarray:
-    # Class indices for the softmax, real-valued labels otherwise.
-    if spec.kind != "multinomial_logistic":
-        return np.asarray(labels, dtype=np.float64)
-    idx = np.asarray(labels)
-    # Checked before the cast, which would truncate 1.5 to class 1.
-    if idx.dtype.kind not in "iu" and np.any(idx != np.floor(idx)):
-        raise ValueError("class labels must be integers")
-    if np.any(idx < 0) or np.any(idx >= spec.num_classes):
-        raise ValueError("class labels must lie in [0, num_classes)")
-    return idx.astype(np.int64, copy=False)
+    # The labels, once they keep the rule (checked before the cast, which would
+    # truncate class 1.5 to 1): class indices for the softmax, real values otherwise.
+    labels = np.asarray(labels)
+    if (fault := _label_fault(spec, labels)) is not None:
+        raise ValueError(f"{fault[0]}, got label {float(labels[fault[1]][0]):g}")
+    return labels.astype(np.int64 if spec.kind == "multinomial_logistic" else np.float64, copy=False)
 
 
 def _margins(spec: LossSpec, W: np.ndarray, X: np.ndarray, y: np.ndarray):

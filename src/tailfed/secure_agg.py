@@ -26,6 +26,8 @@ Contribution = tuple[np.ndarray, float]
 # Floor for majorize-minimize denominators; also the coincidence tolerance
 # for snapping onto a data point.
 MM_CLIP = 1e-12
+# Majorize-minimize stops once an iterate moves by no more than this.
+MM_TOL = 1e-10
 # Standard deviation of every pairwise mask entry.
 MASK_SCALE = 1e3
 
@@ -145,35 +147,28 @@ class MMQuantileResult:
         self.trace = trace
 
 
-def _quantile_optimal(spec: PinballSpec, c: float) -> bool:
-    """Whether c minimizes the pinball loss over the sample.
+def _step_off(spec: PinballSpec, c: float) -> float | None:
+    """None if c minimizes the pinball loss over the sample, else a step off c.
 
     A point is a tau-quantile exactly when the weight strictly below it does
-    not exceed tau and the weight at-or-below it reaches tau. Comparisons get
-    a 1e-12 collar so float dust in cumulative sums cannot flip the verdict.
+    not exceed tau and the weight at-or-below it reaches tau; every
+    comparison gets an MM_CLIP collar so float dust in cumulative sums cannot
+    flip the verdict. Otherwise the step goes halfway toward c's neighbor on
+    the side the loss decreases. The loss is linear between adjacent data
+    points, so the half-gap step strictly decreases it.
     """
-    below = float(spec.weights[spec.values < c - MM_CLIP].sum())
-    at_or_below = float(spec.weights[spec.values <= c + MM_CLIP].sum())
-    return below - 1e-12 <= spec.tau <= at_or_below + 1e-12
-
-
-def _descent_step_off(spec: PinballSpec, c: float) -> float:
-    """Move off a non-optimal data point, halfway toward its neighbor on the
-    side the pinball loss decreases. The loss is linear between adjacent data
-    points, so the half-gap step strictly decreases it."""
-    x = spec.values
-    at_or_below = float(spec.weights[x <= c + MM_CLIP].sum())
-    if spec.tau > at_or_below:
-        above = x[x > c + MM_CLIP]
-        return 0.5 * (c + float(above.min()))
-    under = x[x < c - MM_CLIP]
-    return 0.5 * (c + float(under.max()))
+    x, a = spec.values, spec.weights
+    below, at_or_below = x < c - MM_CLIP, x <= c + MM_CLIP
+    if spec.tau > float(a[at_or_below].sum()) + MM_CLIP:
+        return 0.5 * (c + float(x[~at_or_below].min()))
+    if float(a[below].sum()) - MM_CLIP > spec.tau:
+        return 0.5 * (c + float(x[below].max()))
+    return None
 
 
 def mm_quantile(
     spec: PinballSpec,
     max_iters: int = 500,
-    tol: float = 1e-10,
     mask_seed: int | None = None,
     init: float | None = None,
 ) -> MMQuantileResult:
@@ -211,13 +206,13 @@ def mm_quantile(
         nearest = int(np.argmin(dist))
         if dist[nearest] <= MM_CLIP:
             hit = float(x[nearest])
-            if _quantile_optimal(spec, hit):
+            # A non-minimizer is not returned, and the beta clip alone cannot
+            # pull the iterate off the point. A half-gap step in the descent
+            # direction restarts the iteration cleanly.
+            mu = _step_off(spec, hit)
+            if mu is None:
                 trace.append(hit)
                 return MMQuantileResult(hit, True, it, trace)
-            # Returning here would hand back a non-minimizer; the beta clip
-            # alone cannot pull the iterate off the point either. A half-gap
-            # step in the descent direction restarts the iteration cleanly.
-            mu = _descent_step_off(spec, hit)
             trace.append(mu)
             continue
         beta = a / np.maximum(dist, MM_CLIP)
@@ -231,11 +226,11 @@ def mm_quantile(
         # is exact and cannot increase the loss. (Comparing the two losses
         # as well would let roundoff in the sums decide on a flat stretch.)
         near = float(x[np.argmin(np.abs(x - mu_next))])
-        if _quantile_optimal(spec, near):
+        if _step_off(spec, near) is None:
             trace.append(near)
             return MMQuantileResult(near, True, it, trace)
         trace.append(mu_next)
-        if abs(mu_next - mu) <= tol:
+        if abs(mu_next - mu) <= MM_TOL:
             return MMQuantileResult(mu_next, True, it, trace)
         mu = mu_next
     best = min(trace, key=lambda m: pinball_loss(spec, m))

@@ -135,9 +135,8 @@ def superquantile(wv: WeightedValues, theta: float) -> float:
     theta = check_conformity(theta)
     if theta == 1.0:
         return wv.mean()
-    eta = weighted_quantile(wv, theta)
-    excess = np.maximum(wv.values - eta, 0.0)
-    return eta + float(np.dot(wv.weights, excess)) / theta
+    # The tail objective's minimum over eta, reached at the quantile.
+    return plus_objective(wv, theta, weighted_quantile(wv, theta))
 
 
 def smoothed_plus(rho, nu: float):

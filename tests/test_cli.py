@@ -643,10 +643,10 @@ def test_readme_config_example_validates():
     assert cfg.data["generator"] == "hetero_logistic" and cfg.split_fraction == 0.5
 
 
-@pytest.mark.parametrize("data_seed, builds", [(None, 4), (5, 1)], ids=["cell-seed", "data-seed"])
+@pytest.mark.parametrize("data_seed, builds", [(None, 2), (5, 1)], ids=["cell-seed", "data-seed"])
 def test_run_builds_each_population_once_per_data_seed(tmp_path, monkeypatch, data_seed, builds):
-    # The theta loop is outer: with the cell seed as data seed, seeds 0 and 1
-    # alternate and each cell builds; one data seed builds once.
+    # The seed loop is outer: with the cell seed as data seed, seeds 0 and 1
+    # each build once for both thetas; one data seed builds once.
     calls = []
     real = cli.gen_hetero_logistic
     monkeypatch.setattr(cli, "gen_hetero_logistic", lambda **kw: calls.append(kw["seed"]) or real(**kw))

@@ -125,10 +125,24 @@ def test_deltafl_filter_respects_threshold():
     losses = {d: models.device_loss(cfg.loss, w, s) for d, s in zip(pop.device_ids, pop.shards)}
     assert log.eta is not None
     for dev in log.filtered_ids:
-        assert losses[dev] >= log.eta - 1e-12
+        assert losses[dev] >= log.eta
     dropped = set(log.sampled_ids) - set(log.filtered_ids)
     for dev in dropped:
         assert losses[dev] < log.eta
+
+
+def test_deltafl_filter_keeps_exactly_the_devices_at_or_above_eta():
+    # At w = 0 every device reports log 2. A threshold equal to that keeps the
+    # whole sample; one 5e-13 above it keeps none, so only the fallback's
+    # worst device trains: the comparison has no tolerance.
+    pop = gen_hetero_logistic(8, (5, 9), 3, 2, 1.0, seed=3)
+    cfg = FederationConfig(theta=0.5, seed=1)
+    w = np.zeros(3)
+    top = float(models.packed_losses(cfg.loss, w, pop).max())
+    _, log = deltafl_round(pop, w, cfg, 0, eta_override=top)
+    assert len(log.sampled_ids) > 1 and log.filtered_ids == log.sampled_ids
+    _, log = deltafl_round(pop, w, cfg, 0, eta_override=top + 5e-13)
+    assert log.filtered_ids == log.sampled_ids[:1]
 
 
 def test_deltafl_empty_filter_falls_back_to_worst_device():

@@ -1,6 +1,7 @@
 """Loss, gradient, and per-device evaluation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,28 +239,36 @@ def test_point_grad_rejects_the_labels_point_loss_rejects():
     w, x = np.zeros(6), np.array([1.0, 2.0])
     for y in (-1, 3):
         for fn in (point_loss, point_grad):
-            with pytest.raises(ValueError, match=r"class labels must lie in \[0, num_classes\)"):
+            with pytest.raises(ValueError, match=r"needs class labels (0\.\.C-1|below it), got label"):
                 fn(spec, w, x, y)
 
 
 def test_fractional_class_labels_are_rejected_not_truncated():
-    spec = LossSpec("multinomial_logistic", num_classes=3)
-    w, x = np.zeros(6), np.array([1.0, 2.0])
-    shard = one_device(np.ones((2, 2)), np.array([0.5, 1.7]))
-    calls = [
-        lambda: point_loss(spec, w, x, 1.5),
-        lambda: point_grad(spec, w, x, 1.5),
-        lambda: device_loss(spec, w, shard),
-        lambda: device_error(spec, w, shard),
-        lambda: packed_losses(spec, w, shard),
-        lambda: packed_errors(spec, w, shard),
-        lambda: population_objectives(shard, spec).point(w),
-        lambda: local_update(shard, w, 0.1, FederationConfig(loss=spec), np.random.default_rng(0)),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="class labels must be integers"):
-            call()
+    # Every kernel keeps the loss's label rule: a fractional class label, and
+    # binary labels other than -1/+1, are errors naming the rule.
+    multinomial = LossSpec("multinomial_logistic", num_classes=3)
+    cases = [(multinomial, 1.5, "kind multinomial_logistic needs class labels 0..C-1, got label 1.5")]
+    for y in (0, 2, 0.5):
+        cases.append((LossSpec("binary_logistic"), y, f"kind binary_logistic needs labels -1/+1, got label {y:g}"))
+    x = np.array([1.0, 2.0])
+    for spec, y, message in cases:
+        w = np.zeros(spec.param_dim(2))
+        shard = one_device(np.ones((2, 2)), np.array([1, y]))
+        calls = [
+            lambda: point_loss(spec, w, x, y),
+            lambda: point_grad(spec, w, x, y),
+            lambda: device_loss(spec, w, shard),
+            lambda: device_error(spec, w, shard),
+            lambda: packed_losses(spec, w, shard),
+            lambda: packed_errors(spec, w, shard),
+            lambda: population_objectives(shard, spec).point(w),
+            lambda: local_update(shard, w, 0.1, FederationConfig(loss=spec), np.random.default_rng(0)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
     # Whole-valued floats still name their classes.
+    spec = multinomial
     rng = np.random.default_rng(38)
     X, v = rng.normal(size=(4, 2)), rng.normal(size=6)
     ints = one_device(X, np.array([0, 2, 1, 2]))

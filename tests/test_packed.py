@@ -20,6 +20,7 @@ from tailfed import (
     lr_schedule,
     models,
     population_objectives,
+    run_federated,
     superquantile,
 )
 from tailfed.data import stream
@@ -308,6 +309,17 @@ def test_kernels_reject_out_of_range_inputs():
     with pytest.raises(ValueError, match="class labels"):
         deltafl_round(packed, w, FederationConfig(loss=spec), 0)
     ok = LossSpec("binary_logistic")
+    for y in (0, 2, 0.5):
+        bad = Population(np.ones((2, 2)), np.array([1, y]), [2], ("a",), [1.0])
+        for call in (
+            lambda: models.packed_losses(ok, np.zeros(2), bad),
+            lambda: population_objectives(bad, ok).point(np.zeros(2)),
+            lambda: local_update(bad, np.zeros(2), 0.1, FederationConfig(loss=ok), np.random.default_rng(0)),
+            lambda: deltafl_round(bad, np.zeros(2), FederationConfig(loss=ok), 0),
+            lambda: run_federated(bad, FederationConfig(loss=ok, num_rounds=1)),
+        ):
+            with pytest.raises(ValueError, match=f"kind binary_logistic needs labels -1/\\+1, got label {y:g}"):
+                call()
     good = Population(np.ones((2, 2)), np.array([1, -1]), [2], ("a",), [1.0])
     with pytest.raises(ValueError, match="one coefficient per device"):
         population_objectives(good, ok).point(np.zeros(2))[1]([1.0, 2.0])

@@ -355,3 +355,17 @@ def test_round_quantile_masked_equals_plain():
         qa = secure_quantile_for_round(losses, wts, theta, mask_seed=100 + trial)
         qb = secure_quantile_for_round(losses, wts, theta)
         assert abs(qa - qb) <= 1e-7 * max(1.0, abs(qb))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="on a flat stretch of the pinball loss weighted_quantile returns its lower end, "
+    "while MM returns the data point nearest its iterate, here the upper end",
+)
+def test_round_quantile_on_a_cumulative_weight_boundary_matches_the_direct_quantile():
+    # The weight at or below -1.582 is exactly 1 - theta, so every point of
+    # [-1.582, 2.058] minimizes the pinball loss; server_direct takes -1.582.
+    losses, counts = [-1.582, 2.058, 5.213], np.array([3.0, 2.0, 1.0])
+    direct = weighted_quantile(WeightedValues(losses, counts / counts.sum()), 0.5)
+    assert direct == -1.582
+    assert secure_quantile_for_round(losses, counts, 0.5) == direct

@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=<path to a tailfed src/> python3 tools/artifacts.py OUT
+    PYTHONPATH=<path to a tailfed src/> python3 tools/artifacts.py --digest OUT
     python3 tools/artifacts.py --compare OLD NEW
 
 Runs ``tailfed run`` on a fixed list of small configs, ``tailfed
@@ -11,6 +12,13 @@ gaussian-demo`` and ``tailfed validate``, all in process through whichever
 (which must not exist yet). Every path inside OUT is relative to it, so the
 outputs of two source trees can be compared with ``diff -r``: a change that
 claims the same behaviour must leave that diff empty.
+
+``--digest OUT`` writes the same artifacts and then prints a manifest: a
+line naming the Python and numpy versions, a line with the command that
+remakes ``tests/artifacts.sha256``, then one ``sha256  path`` line per file
+under OUT, sorted by path. ``tests/artifacts.sha256`` is that manifest for
+the committed sources, and ``tests/test_artifacts_digest.py`` checks every
+file against it.
 
 ``--compare OLD NEW`` reads two such directories and lists the files that
 differ. For each differing JSON, JSON-lines or CSV file it checks every
@@ -38,9 +46,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -124,6 +134,19 @@ def write_artifacts(out: Path) -> None:
     _cli("gaussian-demo", "--output-dir", "gaussian-demo", "--n-per-device", "2000", "--seed", "3")
 
 
+def digest(out: Path) -> str:
+    """The manifest of the artifacts under OUT: the versions, then one line per file."""
+    import numpy
+
+    lines = [
+        f"# Python {platform.python_version()}, numpy {numpy.__version__}",
+        "# remake: PYTHONPATH=src python3 tools/artifacts.py --digest OUT > tests/artifacts.sha256",
+    ]
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}")
+    return "\n".join(lines) + "\n"
+
+
 def _leaves(value, path: str = ""):
     # (dotted path, leaf) pairs of a parsed JSON value.
     if isinstance(value, dict):
@@ -198,10 +221,13 @@ def compare(old: Path, new: Path) -> int:
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         raise SystemExit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
-    if len(sys.argv) != 2:
+    with_digest = len(sys.argv) == 3 and sys.argv[1] == "--digest"
+    if len(sys.argv) != 2 and not with_digest:
         raise SystemExit(__doc__)
     import tailfed
 
-    target = Path(sys.argv[1]).resolve()
+    target = Path(sys.argv[-1]).resolve()
     print(f"tailfed from {Path(tailfed.__file__).parent} -> {target}", file=sys.stderr)
     write_artifacts(target)
+    if with_digest:
+        sys.stdout.write(digest(target))
